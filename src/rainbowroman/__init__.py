@@ -11,9 +11,9 @@ from .catalog import GapReport, enumerate_graphs, random_graphs, scan
 from .constructions import add_c4, gap_instance, star_link
 from .domination import (RainbowAssignment, RomanAssignment, SolveResult,
                          VerificationError, all_min_2rdf, format_rainbow,
-                         format_roman, gamma_r2, gamma_r2_product_check,
-                         gamma_roman, is_2rainbow_dominating,
-                         is_roman_dominating, parse_rainbow, parse_roman)
+                         format_roman, gamma_r2, gamma_roman,
+                         is_2rainbow_dominating, is_roman_dominating,
+                         parse_rainbow, parse_roman)
 from .graph import (EdgeListError, Graph, canonical_form, complete_graph,
                     components, connected, cycle_graph, diamond_graph,
                     disjoint_union, empty_graph, graph_from_edges,
@@ -46,7 +46,7 @@ __all__ = [
     "cycle_graph", "diamond_graph", "disjoint_union", "empty_graph",
     "enumerate_graphs", "extract_assignment", "find_induced_member",
     "format_dimacs", "format_rainbow", "format_roman", "gamma_r2",
-    "gamma_r2_product_check", "gamma_roman", "gap_instance",
+    "gamma_roman", "gap_instance",
     "graph_from_edges", "has_induced", "hereditary_equality_direct",
     "hereditary_three_halves_direct", "induced_subgraph",
     "is_2rainbow_dominating", "is_extremal", "is_free", "is_k4_free",

@@ -3,9 +3,11 @@
 The enumerator streams every labeled graph of a given order in
 ascending edge-mask order (bit i of the mask = i-th vertex pair in
 lexicographic order).  With dedup it keeps exactly one representative
-per isomorphism class, the least edge mask, by marking the whole
-permutation orbit of each representative in a seen table; the orbit
-images for all n! permutations are computed in one numpy shot.
+per isomorphism class, the least edge mask, built from the order-(n-1)
+representatives by adding vertex 0 with every possible neighbourhood
+and keeping the least mask per canonical form (vertex augmentation as
+in McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
+1998).
 
 The scan solves both parameters over the deduplicated catalogue up to a
 requested order, plus an optional seeded random sample at a larger
@@ -19,18 +21,14 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-import numpy as np
-
 from .domination import VerificationError
-from .graph import (CANONICAL_ORDER_CAP, Graph, bits, canonical_form,
-                    connected, from_edge_mask)
+from .graph import (CANONICAL_ORDER_CAP, Graph, canonical_form, connected,
+                    from_edge_mask)
 from .hereditary import (EQUALITY_FAMILY, THREE_HALVES_FAMILY, is_free,
                          solve_both_cached)
 from .rng import SplitMix64
@@ -46,34 +44,25 @@ CSV_COLUMNS = ("kind", "index", "order", "canonical", "edges", "connected",
 
 
 @lru_cache(maxsize=None)
-def _perm_edge_maps(n: int) -> np.ndarray:
-    """(n!, C(n,2)) int8 array: row p, column e = image of edge e under p."""
-    pairs = list(itertools.combinations(range(n), 2))
-    index = {e: i for i, e in enumerate(pairs)}
-    maps = np.empty((math.factorial(n), len(pairs)), dtype=np.int8)
-    for r, p in enumerate(itertools.permutations(range(n))):
-        for e, (i, j) in enumerate(pairs):
-            a, b = p[i], p[j]
-            maps[r, e] = index[(a, b) if a < b else (b, a)]
-    return maps
-
-
-@lru_cache(maxsize=None)
 def _class_masks(n: int) -> tuple[int, ...]:
-    """Least edge mask of every isomorphism class of order n, ascending."""
-    num_edges = n * (n - 1) // 2
-    maps = _perm_edge_maps(n)
-    seen = bytearray(1 << num_edges)
-    reps = []
-    for mask in range(1 << num_edges):
-        if seen[mask]:
-            continue
-        reps.append(mask)
-        cols = maps[:, list(bits(mask))].astype(np.int64)
-        images = np.bitwise_or.reduce(np.left_shift(1, cols), axis=1)
-        for m in images.tolist():
-            seen[m] = 1
-    return tuple(reps)
+    """Least edge mask of every isomorphism class of order n, ascending.
+
+    The pairs (0, j) are the n - 1 lowest mask bits and the remaining
+    pairs follow in the order-(n - 1) pair order, so a mask is
+    ``high << (n - 1) | low`` with ``high`` the mask of the graph left
+    after deleting vertex 0.  A least mask minimizes ``high`` first, so
+    that ``high`` is itself a least mask of order n - 1.  Trying every
+    ``low`` on every such ``high`` in ascending order therefore meets
+    each class first at its least mask.
+    """
+    if n == 0:
+        return (0,)
+    least: dict[bytes, int] = {}
+    for high in _class_masks(n - 1):
+        for low in range(1 << (n - 1)):
+            mask = high << (n - 1) | low
+            least.setdefault(canonical_form(from_edge_mask(n, mask)), mask)
+    return tuple(least.values())
 
 
 def enumerate_graphs(n: int, dedup: bool = False,

@@ -6,7 +6,10 @@ neighbourhood; its weight is the total number of assigned colors.  A
 Roman dominating function assigns 0, 1, or 2 such that every 0-vertex
 has a 2-neighbour; its weight is the sum.  Both solvers return the
 optimum with a deterministic witness: the first optimal assignment in
-the solver's fixed branch order.
+the solver's fixed branch order.  The 2-rainbow minimizer and the
+enumeration of every minimum 2-rainbow function run on one depth-first
+search, :func:`_search`, and differ only in what they do with each
+complete assignment.
 
 Rainbow codes are packed as ints: 0 = {}, 1 = {1}, 2 = {2}, 3 = {1, 2}.
 """
@@ -15,12 +18,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
-from .graph import Graph, bits
+from .graph import MAX_ORDER, Graph, bits
 
-SOLVER_ORDER_CAP = 64
+SOLVER_ORDER_CAP = MAX_ORDER
 ALL_MIN_ORDER_CAP = 16
-PRODUCT_CHECK_ORDER_CAP = 20
 
 
 class VerificationError(RuntimeError):
@@ -190,46 +193,40 @@ def _greedy_cover_bound(g: Graph) -> int:
     return min(n, 2 * picks)
 
 
-def gamma_r2(g: Graph) -> SolveResult:
-    """Minimum 2-rainbow domination weight by depth-first branch and bound.
+def _search(g: Graph, limit: int, leaf: Callable[[list[int], int], int]) -> int:
+    """The rainbow depth-first branch and bound; returns the nodes explored.
 
     Vertices are decided in descending-degree order (ties by index) and
     codes tried as {1,2}, {1}, {2}, {} so covering assignments surface
-    early.  A branch is cut when its weight plus the admissible demand
-    bound of :func:`_prism_bound` cannot beat the incumbent, or when an
-    already-empty vertex can no longer see a missing color at all.
+    early.  A branch is cut when its weight, or its weight plus the
+    admissible demand bound of :func:`_prism_bound`, exceeds ``limit``,
+    or when an already-empty vertex can no longer see a missing color.
+    Every complete assignment reached is a 2-rainbow dominating function
+    of weight at most ``limit``; it goes to ``leaf(codes, weight)``,
+    which returns the limit for the rest of the search.  ``codes`` is the
+    live list, so a leaf that keeps it must copy it.
     """
     n = g.order
-    if n > SOLVER_ORDER_CAP:
-        raise ValueError(f"solver is capped at order {SOLVER_ORDER_CAP}")
-    if n == 0:
-        return SolveResult(0, RainbowAssignment(()), 0)
     adj = g.adjacency
     deg = [row.bit_count() for row in adj]
     branch = sorted(range(n), key=lambda v: (-deg[v], v))
     scan = sorted(range(n), key=lambda v: (deg[v], v))
-    ub = _greedy_cover_bound(g)
-
     codes = [-1] * n
     seen = [0] * n  # color bits shown to v by decided neighbours
     empties = 0  # bitmask of decided-empty vertices
-    best_codes: list[int] | None = None
-    best_val = 0
     nodes = 0
 
-    def demand_bound(undecided: int) -> int | None:
-        return _prism_bound(n, adj, scan, seen, empties, undecided)
-
     def descend(depth: int, weight: int, undecided: int) -> None:
-        nonlocal best_codes, best_val, nodes, empties
+        nonlocal limit, nodes, empties
         if depth == n:
-            if best_codes is None or weight < best_val:
-                best_codes = codes[:]
-                best_val = weight
+            limit = leaf(codes, weight)
             return
         v = branch[depth]
         remaining = undecided & ~(1 << v)
         for code in (3, 1, 2, 0):
+            w = weight + _CODE_WEIGHT[code]
+            if w > limit:
+                continue
             if code == 0 and 3 & ~seen[v] and adj[v] & remaining == 0:
                 continue  # v could never see its missing colors
             # a neighbour losing its last undecided supplier while still
@@ -242,7 +239,6 @@ def gamma_r2(g: Graph) -> SolveResult:
             if blocked:
                 continue
             nodes += 1
-            w = weight + _CODE_WEIGHT[code]
             codes[v] = code
             saved: list[tuple[int, int]] = []
             if code == 0:
@@ -253,14 +249,9 @@ def gamma_r2(g: Graph) -> SolveResult:
                     if old | code != old:
                         seen[u] = old | code
                         saved.append((u, old))
-            bound = demand_bound(remaining)
-            if bound is not None:
-                total = w + bound
-                if best_codes is None:
-                    if total <= ub:
-                        descend(depth + 1, w, remaining)
-                elif total < best_val:
-                    descend(depth + 1, w, remaining)
+            bound = _prism_bound(n, adj, scan, seen, empties, remaining)
+            if bound is not None and w + bound <= limit:
+                descend(depth + 1, w, remaining)
             codes[v] = -1
             if code == 0:
                 empties &= ~(1 << v)
@@ -269,8 +260,28 @@ def gamma_r2(g: Graph) -> SolveResult:
                     seen[u] = old
 
     descend(0, 0, (1 << n) - 1)
-    assert best_codes is not None
-    return SolveResult(best_val, RainbowAssignment(tuple(best_codes)), nodes)
+    return nodes
+
+
+def gamma_r2(g: Graph) -> SolveResult:
+    """Minimum 2-rainbow domination weight by branch and bound.
+
+    Runs :func:`_search` from the weight of a greedy valid function; each
+    assignment found becomes the incumbent and lowers the limit to one
+    below its weight, so the last one found is the first optimum in the
+    search's branch order.
+    """
+    if g.order > SOLVER_ORDER_CAP:
+        raise ValueError(f"solver is capped at order {SOLVER_ORDER_CAP}")
+    best: list[int] = []
+
+    def record(codes: list[int], weight: int) -> int:
+        best[:] = codes
+        return weight - 1
+
+    nodes = _search(g, _greedy_cover_bound(g), record)
+    witness = RainbowAssignment(tuple(best))
+    return SolveResult(witness.weight(), witness, nodes)
 
 
 def gamma_roman(g: Graph) -> SolveResult:
@@ -318,99 +329,18 @@ def all_min_2rdf(g: Graph, cap: int = ALL_MIN_ORDER_CAP) -> list[RainbowAssignme
     """Every minimum-weight 2-rainbow dominating function.
 
     Complete and duplicate-free, in lexicographic order of the code
-    vector under 0 < 1 < 2 < 3.  Enumeration branches on vertices in
-    index order with the optimum from :func:`gamma_r2` as a hard weight
-    budget, so only optimal leaves survive.
+    vector under 0 < 1 < 2 < 3.  :func:`_search` runs with the optimum
+    from :func:`gamma_r2` as a fixed weight limit, so every assignment it
+    reaches is optimal; they are sorted afterwards.
     """
-    n = g.order
-    if n > cap:
+    if g.order > cap:
         raise ValueError(f"minimum-function enumeration is capped at order {cap}")
     target = gamma_r2(g).value
-    if n == 0:
-        return [RainbowAssignment(())]
-    adj = g.adjacency
-    deg = [row.bit_count() for row in adj]
-    scan = sorted(range(n), key=lambda v: (deg[v], v))
-    codes = [-1] * n
-    seen = [0] * n
-    empties = 0
-    found: list[RainbowAssignment] = []
+    found: list[tuple[int, ...]] = []
 
-    def demand_bound(undecided: int) -> int | None:
-        return _prism_bound(n, adj, scan, seen, empties, undecided)
+    def collect(codes: list[int], weight: int) -> int:
+        found.append(tuple(codes))
+        return target
 
-    def descend(v: int, weight: int, undecided: int) -> None:
-        nonlocal empties
-        if v == n:
-            if weight == target:
-                found.append(RainbowAssignment(tuple(codes)))
-            return
-        remaining = undecided & ~(1 << v)
-        for code in (0, 1, 2, 3):
-            w = weight + _CODE_WEIGHT[code]
-            if w > target:
-                break
-            if code == 0 and 3 & ~seen[v] and adj[v] & remaining == 0:
-                continue
-            blocked = False
-            for u in bits(adj[v] & empties):
-                if (seen[u] | code) != 3 and adj[u] & remaining == 0:
-                    blocked = True
-                    break
-            if blocked:
-                continue
-            codes[v] = code
-            saved: list[tuple[int, int]] = []
-            if code == 0:
-                empties |= 1 << v
-            else:
-                for u in bits(adj[v]):
-                    old = seen[u]
-                    if old | code != old:
-                        seen[u] = old | code
-                        saved.append((u, old))
-            bound = demand_bound(remaining)
-            if bound is not None and w + bound <= target:
-                descend(v + 1, w, remaining)
-            codes[v] = -1
-            if code == 0:
-                empties &= ~(1 << v)
-            else:
-                for u, old in saved:
-                    seen[u] = old
-
-    descend(0, 0, (1 << n) - 1)
-    return found
-
-
-def gamma_r2_product_check(g: Graph) -> int:
-    """Domination number of the prism G x K2, an independent route to
-    the 2-rainbow value.
-
-    The prism doubles every vertex into a (v, color) pair joined across
-    and along G.  Dominating sets are sought by subset enumeration in
-    increasing cardinality, so the first hit is the domination number.
-    Used only as a cross-check, never as the primary solver.
-    """
-    n = g.order
-    if n > PRODUCT_CHECK_ORDER_CAP:
-        raise ValueError(
-            f"product check is capped at order {PRODUCT_CHECK_ORDER_CAP}")
-    if n == 0:
-        return 0
-    m = 2 * n
-    closed = []
-    for side in (0, 1):
-        for v in range(n):
-            row = (1 << (side * n + v)) | (1 << ((1 - side) * n + v))
-            row |= g.adjacency[v] << (side * n)
-            closed.append(row)
-    full = (1 << m) - 1
-    for k in range(m + 1):
-        for combo in itertools.combinations(range(m), k):
-            covered = 0
-            for x in combo:
-                covered |= closed[x]
-            if covered == full:
-                return k
-    raise AssertionError("unreachable: the full vertex set always dominates")
+    _search(g, target, collect)
+    return [RainbowAssignment(codes) for codes in sorted(found)]

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 CANONICAL_ORDER_CAP = 10
+MAX_ORDER = 64  # the largest order any solver accepts, and the edge-list cap
 
 
 class EdgeListError(ValueError):
@@ -104,7 +104,8 @@ def parse_edge_list(text: str) -> Graph:
     Lines starting with '#' are comments.  The first significant line is
     ``n m``; exactly m edge lines ``u v`` follow with 0 <= u,v < n and
     u != v.  Endpoints may appear in either order; duplicates (in any
-    order) are rejected.  Errors name the offending 1-based line.
+    order) are rejected, and so is any n above :data:`MAX_ORDER`, at the
+    header line.  Errors name the offending 1-based line.
     """
     header: tuple[int, int] | None = None
     seen: set[tuple[int, int]] = set()
@@ -123,6 +124,9 @@ def parse_edge_list(text: str) -> Graph:
                 raise EdgeListError(f"line {lineno}: header must be 'n m'") from None
             if n < 0 or m < 0:
                 raise EdgeListError(f"line {lineno}: header counts must be non-negative")
+            if n > MAX_ORDER:
+                raise EdgeListError(
+                    f"line {lineno}: edge lists are capped at order {MAX_ORDER}")
             header = (n, m)
             continue
         if len(fields) != 2:
@@ -288,18 +292,17 @@ def is_k4_free(g: Graph) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _edge_index(n: int) -> dict[tuple[int, int], int]:
-    return {e: i for i, e in enumerate(itertools.combinations(range(n), 2))}
-
-
 def edge_mask(g: Graph) -> int:
-    """Pack the edge set into an int: bit i = i-th edge in lexicographic order."""
-    idx = _edge_index(g.order)
-    m = 0
-    for e in g.edges():
-        m |= 1 << idx[e]
-    return m
+    """Pack the edge set into an int: bit i = i-th vertex pair in lexicographic order."""
+    mask = 0
+    i = 0
+    for u in range(g.order):
+        row = g.adjacency[u]
+        for v in range(u + 1, g.order):
+            if (row >> v) & 1:
+                mask |= 1 << i
+            i += 1
+    return mask
 
 
 def from_edge_mask(n: int, mask: int) -> Graph:

@@ -18,10 +18,11 @@ from functools import lru_cache
 from .domination import (RainbowAssignment, SolveResult, all_min_2rdf,
                          gamma_r2, gamma_roman)
 from .graph import (Graph, bits, canonical_form, complete_graph, cycle_graph,
-                    disjoint_union, empty_graph, from_edge_mask, graph_from_edges,
-                    induced_subgraph, path_graph)
+                    disjoint_union, edge_mask, empty_graph, from_edge_mask,
+                    graph_from_edges, induced_subgraph, path_graph)
 
 HAS_INDUCED_PATTERN_CAP = 6
+HAS_INDUCED_HOST_CAP = 30  # C(30, 6) = 593,775 subsets for an order-6 pattern
 DIRECT_CHECK_ORDER_CAP = 8
 
 # Hereditary equality of the two parameters <=> none of these induced.
@@ -60,19 +61,7 @@ def solve_both_cached(g: Graph) -> tuple[SolveResult, SolveResult]:
     The cache pays off when many graphs share induced subgraphs, as in
     the exhaustive scans; isolated calls go straight to the solvers.
     """
-    return _solved_by_mask(g.order, _mask_key(g))
-
-
-def _mask_key(g: Graph) -> int:
-    mask = 0
-    i = 0
-    for u in range(g.order):
-        row = g.adjacency[u]
-        for v in range(u + 1, g.order):
-            if (row >> v) & 1:
-                mask |= 1 << i
-            i += 1
-    return mask
+    return _solved_by_mask(g.order, edge_mask(g))
 
 
 def _induced_mask(g: Graph, subset: tuple[int, ...]) -> int:
@@ -88,10 +77,16 @@ def _induced_mask(g: Graph, subset: tuple[int, ...]) -> int:
 
 
 def has_induced(g: Graph, h: Graph) -> bool:
-    """True iff some induced subgraph of g is isomorphic to h (order(h) <= 6)."""
+    """True iff some induced subgraph of g is isomorphic to h.
+
+    Every order(h)-subset of g may be tried, so h is capped at order 6
+    and g at order 30.
+    """
     k = h.order
     if k > HAS_INDUCED_PATTERN_CAP:
         raise ValueError(f"pattern order is capped at {HAS_INDUCED_PATTERN_CAP}")
+    if g.order > HAS_INDUCED_HOST_CAP:
+        raise ValueError(f"host graph order is capped at {HAS_INDUCED_HOST_CAP}")
     if k > g.order:
         return False
     target = canonical_form(h)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 
+PRODUCT_CHECK_ORDER_CAP = 20
+
 
 def rainbow_valid(g, codes) -> bool:
     """codes[v] is the color bitset at v: 0, 1, 2, or 3 (= {1,2})."""
@@ -44,6 +46,38 @@ def naive_min_2rdfs(g) -> list[tuple[int, ...]]:
     target = naive_gamma_r2(g)
     return [codes for codes in itertools.product((0, 1, 2, 3), repeat=g.order)
             if rainbow_weight(codes) == target and rainbow_valid(g, codes)]
+
+
+def gamma_r2_product_check(g) -> int:
+    """Domination number of the prism G x K2, an independent route to
+    the 2-rainbow value.
+
+    The prism doubles every vertex into a (v, color) pair joined across
+    and along G.  Dominating sets are sought by subset enumeration in
+    increasing cardinality, so the first hit is the domination number.
+    """
+    n = g.order
+    if n > PRODUCT_CHECK_ORDER_CAP:
+        raise ValueError(
+            f"product check is capped at order {PRODUCT_CHECK_ORDER_CAP}")
+    if n == 0:
+        return 0
+    m = 2 * n
+    closed = []
+    for side in (0, 1):
+        for v in range(n):
+            row = (1 << (side * n + v)) | (1 << ((1 - side) * n + v))
+            row |= g.adjacency[v] << (side * n)
+            closed.append(row)
+    full = (1 << m) - 1
+    for k in range(m + 1):
+        for combo in itertools.combinations(range(m), k):
+            covered = 0
+            for x in combo:
+                covered |= closed[x]
+            if covered == full:
+                return k
+    raise AssertionError("unreachable: the full vertex set always dominates")
 
 
 def roman_valid(g, values) -> bool:

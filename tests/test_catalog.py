@@ -42,9 +42,10 @@ class TestEnumerate:
         forms = {canonical_form(g) for g in reps}
         assert len(forms) == len(reps)
 
-    def test_dedup_rep_has_least_mask_in_class(self):
-        reps = {canonical_form(g): g for g in enumerate_graphs(4, dedup=True)}
-        for g in enumerate_graphs(4):
+    @pytest.mark.parametrize("n", (4, 5))
+    def test_dedup_rep_has_least_mask_in_class(self, n):
+        reps = {canonical_form(g): g for g in enumerate_graphs(n, dedup=True)}
+        for g in enumerate_graphs(n):
             rep = reps[canonical_form(g)]
             assert edge_mask(rep) <= edge_mask(g)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from rainbowroman import cli
+from rainbowroman import cli, hereditary
 from rainbowroman.catalog import scan
 from rainbowroman.domination import is_2rainbow_dominating, parse_rainbow
 from rainbowroman.graph import parse_edge_list
@@ -169,6 +169,16 @@ class TestRecognize:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and "error:" in err
 
+    def test_host_order_cap(self, capsys, monkeypatch, tmp_path):
+        def enumerated(*args):
+            raise AssertionError("enumeration started before the cap check")
+
+        monkeypatch.setattr(hereditary, "_induced_mask", enumerated)
+        big = tmp_path / "edgeless.el"
+        big.write_text(f"{hereditary.HAS_INDUCED_HOST_CAP + 1} 0\n")
+        code, out, err = run(capsys, "recognize", str(big), "--family", "theorem2")
+        assert code == 1 and out == "" and "capped" in err
+
     def test_disagreement_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "hereditary_equality_direct", lambda g: True)
         code, out, _ = run(capsys, "recognize", C4, "--family", "theorem2",
@@ -272,6 +282,17 @@ class TestScan:
         code, _, err = run(capsys, "scan", "--max-order", "9")
         assert code == 1 and "error:" in err
 
+    def test_runs_without_numpy(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        script = ("import sys\n"
+                  "sys.modules['numpy'] = None\n"
+                  f"sys.path.insert(0, {src!r})\n"
+                  "from rainbowroman.cli import main\n"
+                  "raise SystemExit(main(['scan', '--max-order', '5']))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestUsageAndErrors:
     @pytest.mark.parametrize("argv", [
@@ -296,6 +317,17 @@ class TestUsageAndErrors:
         bad.write_text("2 1\n0 0\n")
         code, _, err = run(capsys, "solve", str(bad))
         assert code == 1 and "self-loop" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("solve",),
+        ("convert", "1", "--direction", "roman-to-r2"),
+    ])
+    def test_huge_header_order(self, capsys, tmp_path, argv):
+        huge = tmp_path / "huge.el"
+        huge.write_text("1000000 0\n")
+        code, out, err = run(capsys, argv[0], str(huge), *argv[1:])
+        assert code == 1 and out == ""
+        assert "line 1: edge lists are capped at order 64" in err
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as event:

@@ -6,12 +6,10 @@ import itertools
 
 import pytest
 
-from rainbowroman.domination import (ALL_MIN_ORDER_CAP,
-                                     PRODUCT_CHECK_ORDER_CAP,
-                                     SOLVER_ORDER_CAP, RainbowAssignment,
-                                     RomanAssignment, all_min_2rdf,
-                                     format_rainbow, format_roman, gamma_r2,
-                                     gamma_r2_product_check, gamma_roman,
+from rainbowroman.domination import (ALL_MIN_ORDER_CAP, SOLVER_ORDER_CAP,
+                                     RainbowAssignment, RomanAssignment,
+                                     all_min_2rdf, format_rainbow,
+                                     format_roman, gamma_r2, gamma_roman,
                                      is_2rainbow_dominating,
                                      is_roman_dominating, parse_rainbow,
                                      parse_roman)
@@ -20,7 +18,8 @@ from rainbowroman.graph import (complete_graph, cycle_graph, empty_graph,
                                 relabel)
 from rainbowroman.rng import SplitMix64
 
-from oracles import (naive_gamma_r2, naive_gamma_roman, naive_min_2rdfs,
+from oracles import (PRODUCT_CHECK_ORDER_CAP, gamma_r2_product_check,
+                     naive_gamma_r2, naive_gamma_roman, naive_min_2rdfs,
                      rainbow_valid, roman_valid)
 
 

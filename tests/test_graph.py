@@ -133,6 +133,11 @@ class TestEdgeList:
         with pytest.raises(EdgeListError, match="non-negative"):
             parse_edge_list("-1 0\n")
 
+    def test_order_cap_at_header(self):
+        assert parse_edge_list("64 0\n").order == 64
+        with pytest.raises(EdgeListError, match="line 2: edge lists are capped at order 64"):
+            parse_edge_list("# huge\n1000000 0\n")
+
     def test_self_loop(self):
         with pytest.raises(EdgeListError, match="line 2: self-loop"):
             parse_edge_list("3 1\n1 1\n")
