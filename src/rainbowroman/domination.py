@@ -4,19 +4,26 @@ A 2-rainbow dominating function assigns each vertex a subset of {1, 2}
 such that every vertex with the empty set sees both colors across its
 neighbourhood; its weight is the total number of assigned colors.  A
 Roman dominating function assigns 0, 1, or 2 such that every 0-vertex
-has a 2-neighbour; its weight is the sum.  Both solvers return the
-optimum with a deterministic witness: the first optimal assignment in
-the solver's fixed branch order.  The 2-rainbow minimizer and the
-enumeration of every minimum 2-rainbow function run on one depth-first
-search, :func:`_search`, and differ only in what they do with each
-complete assignment.
+has a 2-neighbour; its weight is the sum.
+
+Every Roman function is a 2-rainbow function over a smaller alphabet:
+the Roman 2 is {1, 2}, the Roman 1 is a weight-1 label that satisfies
+only its own vertex, and the Roman 0 is the empty set.  So one
+depth-first branch and bound, :func:`_search`, runs over a label table
+of ``(code, weight, shows)`` triples: the rainbow table for
+:func:`gamma_r2` and :func:`all_min_2rdf`, the Roman table for
+:func:`gamma_roman`.  The two minimizers share one driver and return
+the optimum with a deterministic witness, the first optimal assignment
+in the kernel's fixed branch order; the enumeration of every minimum
+2-rainbow function differs only in what it does with each complete
+assignment.
 
 Rainbow codes are packed as ints: 0 = {}, 1 = {1}, 2 = {2}, 3 = {1, 2}.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,6 +37,9 @@ class VerificationError(RuntimeError):
     """An identity that always holds failed on a computed instance."""
 
 _CODE_WEIGHT = (0, 1, 1, 2)
+# (code, weight, shows) in branch order; code 0 must be dominated
+_RAINBOW_LABELS = ((3, 2, 3), (1, 1, 1), (2, 1, 2), (0, 0, 0))
+_ROMAN_LABELS = ((2, 2, 3), (1, 1, 0), (0, 0, 0))
 _RAINBOW_TOKENS = {".": 0, "1": 1, "2": 2, "12": 3}
 _RAINBOW_NAMES = (".", "1", "2", "12")
 
@@ -139,45 +149,87 @@ def is_roman_dominating(g: Graph, f: RomanAssignment) -> bool:
     return True
 
 
-def _prism_bound(n: int, adj: tuple[int, ...], scan: list[int], seen: list[int],
-                 empties: int, undecided: int) -> int | None:
+def _prism_bound(n: int, scan: list[tuple[int, int, int, int]], demand: int,
+                 undecided: int) -> int | None:
     """Admissible lower bound on the weight still to be added.
 
     Work in the prism G x K2, where placing color c on vertex x is one
-    weight unit dominating prism vertex (x, c).  Prism vertices not yet
-    dominated are greedily packed subject to pairwise-disjoint supplier
-    sets, scanning vertices by ascending degree; each packed demand then
-    needs its own future unit.  An already-empty vertex missing a color
-    with no undecided neighbour left is hopeless: returns None.
-    Undecided vertices participate through their rung: whatever nonempty
-    code they take dominates both of their prism copies.
+    weight unit dominating prism vertex (x, c).  The unmet demands (bit
+    v for (v, 1), bit n + v for (v, 2)) are greedily packed subject to
+    pairwise-disjoint supplier sets, scanning vertices by ascending
+    degree; each packed demand then needs its own future unit.  An
+    already-empty vertex missing a color with no undecided neighbour left
+    is hopeless: returns None.  Undecided vertices participate through
+    their rung: whatever nonempty label they take meets both of their
+    own demands.  The count holds for the Roman table too: a Roman 2 is
+    the two units {1, 2} and a Roman 1 is one rung unit.  ``scan`` holds
+    ``(bit v, bit n + v, rung, adjacency row)`` per vertex.
     """
     used = 0
     count = 0
-    for v in scan:
-        vbit = 1 << v
-        if undecided & vbit:
-            sup_base = (vbit | (1 << (n + v)))
-            nbrs = adj[v] & undecided
-            for c in (1, 2):
-                if seen[v] & c:
-                    continue
-                sup = sup_base | (nbrs if c == 1 else nbrs << n)
-                if sup & used == 0:
-                    used |= sup
-                    count += 1
-        elif empties & vbit:
-            nbrs = adj[v] & undecided
-            for c in (1, 2):
-                if seen[v] & c:
-                    continue
-                sup = nbrs if c == 1 else nbrs << n
-                if sup == 0:
-                    return None
-                if sup & used == 0:
-                    used |= sup
-                    count += 1
+    for one, two, rung, row in scan:
+        if demand & rung == 0:
+            continue
+        nbrs = row & undecided
+        if undecided & one == 0:
+            rung = 0  # an empty vertex is met only by its neighbours
+        if demand & one:
+            sup = rung | nbrs
+            if sup == 0:
+                return None
+            if sup & used == 0:
+                used |= sup
+                count += 1
+        if demand & two:
+            sup = rung | nbrs << n
+            if sup == 0:
+                return None
+            if sup & used == 0:
+                used |= sup
+                count += 1
     return count
+
+
+def _ratio_bound(offers: list[tuple[int, list[int]]], undecided: int,
+                 demand: int) -> int | None:
+    """Admissible set-cover lower bound on the weight still to be added.
+
+    ``offers`` holds, for each nonempty label, its weight and, per vertex
+    x, the demand bits the label would meet if placed on x: x's own two,
+    plus the colors it shows to x's neighbours.  Each unmet demand is
+    charged the least ``weight / |unmet demands the label would meet|``
+    over the undecided vertices and labels that meet it, found by
+    sweeping the offers in ascending ratio.  Any completion covers every
+    demand, and a label it places pays exactly the charges of the
+    demands it meets at its own ratio, which is at least their least
+    ratio; so the sum of charges is at most the weight still to come,
+    and since weights are integers so is its ceiling.  The sum is taken
+    in floats: it has at most 2n <= 128 terms and is at most 4n <= 256,
+    since no charge exceeds 2, so its rounding error stays below 1e-11;
+    subtracting 1e-9 before the ceiling can then only lower the bound.
+    Returns None when some demand has no possible supplier.
+    """
+    ranked = []
+    while undecided:
+        low = undecided & -undecided
+        undecided ^= low
+        x = low.bit_length() - 1
+        for weight, reach in offers:
+            met = demand & reach[x]
+            if met:
+                ranked.append((weight / met.bit_count(), met))
+    ranked.sort()
+    total = 0.0
+    for ratio, met in ranked:
+        met &= demand
+        if met:
+            total += ratio * met.bit_count()
+            demand &= ~met
+            if demand == 0:
+                break
+    if demand:
+        return None
+    return math.ceil(total - 1e-9)
 
 
 def _greedy_cover_bound(g: Graph) -> int:
@@ -193,83 +245,74 @@ def _greedy_cover_bound(g: Graph) -> int:
     return min(n, 2 * picks)
 
 
-def _search(g: Graph, limit: int, leaf: Callable[[list[int], int], int]) -> int:
-    """The rainbow depth-first branch and bound; returns the nodes explored.
+def _search(g: Graph, labels: tuple[tuple[int, int, int], ...], limit: int,
+            leaf: Callable[[list[int], int], int]) -> int:
+    """The depth-first branch and bound; returns the nodes explored.
 
-    Vertices are decided in descending-degree order (ties by index) and
-    codes tried as {1,2}, {1}, {2}, {} so covering assignments surface
-    early.  A branch is cut when its weight, or its weight plus the
-    admissible demand bound of :func:`_prism_bound`, exceeds ``limit``,
-    or when an already-empty vertex can no longer see a missing color.
-    Every complete assignment reached is a 2-rainbow dominating function
-    of weight at most ``limit``; it goes to ``leaf(codes, weight)``,
-    which returns the limit for the rest of the search.  ``codes`` is the
-    live list, so a leaf that keeps it must copy it.
+    ``labels`` holds ``(code, weight, shows)`` triples in branch order,
+    ``shows`` being the color bits a label shows to its neighbours; code
+    0 is the one label that must be dominated, by both colors.  Vertices
+    are decided in descending-degree order (ties by index).  A branch is
+    cut when its weight exceeds ``limit``, or when its weight plus
+    :func:`_prism_bound` or, failing that, :func:`_ratio_bound` does, or
+    when either bound finds an empty vertex that can no longer be
+    dominated.  Every complete assignment reached is a dominating
+    function of weight at most ``limit``; it goes to ``leaf(codes,
+    weight)``, which returns the limit for the rest of the search.
+    ``codes`` is the live list, so a leaf that keeps it must copy it.
     """
     n = g.order
     adj = g.adjacency
     deg = [row.bit_count() for row in adj]
     branch = sorted(range(n), key=lambda v: (-deg[v], v))
-    scan = sorted(range(n), key=lambda v: (deg[v], v))
-    codes = [-1] * n
-    seen = [0] * n  # color bits shown to v by decided neighbours
-    empties = 0  # bitmask of decided-empty vertices
+    rungs = [(1 << v) | (1 << (n + v)) for v in range(n)]
+    scan = [(1 << v, 1 << (n + v), rungs[v], adj[v])
+            for v in sorted(range(n), key=lambda v: (deg[v], v))]
+    # shown_to[v][s]: the demand bits met at v's neighbours by colors s
+    shown_to = [(0, row, row << n, row | row << n) for row in adj]
+    offers = [(weight, [rung | masks[shows] for rung, masks in zip(rungs, shown_to)])
+              for code, weight, shows in labels if code]
+    codes = [0] * n
     nodes = 0
 
-    def descend(depth: int, weight: int, undecided: int) -> None:
-        nonlocal limit, nodes, empties
+    def descend(depth: int, weight: int, undecided: int, empties: int,
+                shown: int) -> None:
+        nonlocal limit, nodes
         if depth == n:
             limit = leaf(codes, weight)
             return
         v = branch[depth]
         remaining = undecided & ~(1 << v)
-        for code in (3, 1, 2, 0):
-            w = weight + _CODE_WEIGHT[code]
+        for code, cost, shows in labels:
+            w = weight + cost
             if w > limit:
-                continue
-            if code == 0 and 3 & ~seen[v] and adj[v] & remaining == 0:
-                continue  # v could never see its missing colors
-            # a neighbour losing its last undecided supplier while still
-            # missing a color kills the branch before any state changes
-            blocked = False
-            for u in bits(adj[v] & empties):
-                if (seen[u] | code) != 3 and adj[u] & remaining == 0:
-                    blocked = True
-                    break
-            if blocked:
                 continue
             nodes += 1
             codes[v] = code
-            saved: list[tuple[int, int]] = []
-            if code == 0:
-                empties |= 1 << v
-            else:
-                for u in bits(adj[v]):
-                    old = seen[u]
-                    if old | code != old:
-                        seen[u] = old | code
-                        saved.append((u, old))
-            bound = _prism_bound(n, adj, scan, seen, empties, remaining)
-            if bound is not None and w + bound <= limit:
-                descend(depth + 1, w, remaining)
-            codes[v] = -1
-            if code == 0:
-                empties &= ~(1 << v)
-            else:
-                for u, old in saved:
-                    seen[u] = old
+            now_empty = empties if code else empties | (1 << v)
+            now_shown = shown | shown_to[v][shows]
+            pending = remaining | now_empty
+            demand = (pending | pending << n) & ~now_shown
+            if demand:
+                bound = _prism_bound(n, scan, demand, remaining)
+                if bound is None or w + bound > limit:
+                    continue
+                bound = _ratio_bound(offers, remaining, demand)
+                if bound is None or w + bound > limit:
+                    continue
+            descend(depth + 1, w, remaining, now_empty, now_shown)
 
-    descend(0, 0, (1 << n) - 1)
+    descend(0, 0, (1 << n) - 1, 0, 0)
     return nodes
 
 
-def gamma_r2(g: Graph) -> SolveResult:
-    """Minimum 2-rainbow domination weight by branch and bound.
+def _minimise(g: Graph, labels: tuple[tuple[int, int, int], ...],
+              witness: type[RainbowAssignment] | type[RomanAssignment]) -> SolveResult:
+    """Run :func:`_search` from the weight of a greedy valid function.
 
-    Runs :func:`_search` from the weight of a greedy valid function; each
-    assignment found becomes the incumbent and lowers the limit to one
-    below its weight, so the last one found is the first optimum in the
-    search's branch order.
+    Each assignment found becomes the incumbent and lowers the limit to
+    one below its weight, so the last one found is the first optimum in
+    the search's branch order.
     """
     if g.order > SOLVER_ORDER_CAP:
         raise ValueError(f"solver is capped at order {SOLVER_ORDER_CAP}")
@@ -279,50 +322,30 @@ def gamma_r2(g: Graph) -> SolveResult:
         best[:] = codes
         return weight - 1
 
-    nodes = _search(g, _greedy_cover_bound(g), record)
-    witness = RainbowAssignment(tuple(best))
-    return SolveResult(witness.weight(), witness, nodes)
+    nodes = _search(g, labels, _greedy_cover_bound(g), record)
+    found = witness(tuple(best))
+    return SolveResult(found.weight(), found, nodes)
+
+
+def gamma_r2(g: Graph) -> SolveResult:
+    """Minimum 2-rainbow domination weight by branch and bound.
+
+    The witness is the first optimum in the branch order: descending
+    degree, then codes {1,2}, {1}, {2}, {}.
+    """
+    return _minimise(g, _RAINBOW_LABELS, RainbowAssignment)
 
 
 def gamma_roman(g: Graph) -> SolveResult:
-    """Minimum Roman domination weight by enumerating the 2-valued set.
+    """Minimum Roman domination weight by branch and bound.
 
-    Fixing the set V2 of 2-vertices forces the optimal completion: 0 on
-    dominated outsiders, 1 on the rest, for cost 2|V2| + |V \\ N[V2]|.
-    Subsets are tried by increasing cardinality (lexicographically within
-    one cardinality); enumeration stops once 2|V2| can no longer beat the
-    incumbent.  The witness is the first optimal subset encountered.
+    The same search as :func:`gamma_r2` over the Roman label table: a
+    Roman 2 shows both colors at weight 2, a Roman 1 satisfies only its
+    own vertex at weight 1, and a Roman 0 needs both colors, that is a
+    2-neighbour.  The witness is the first optimum in the kernel's branch
+    order: descending degree, then labels 2, 1, 0.
     """
-    n = g.order
-    if n > SOLVER_ORDER_CAP:
-        raise ValueError(f"solver is capped at order {SOLVER_ORDER_CAP}")
-    if n == 0:
-        return SolveResult(0, RomanAssignment(()), 0)
-    closed = [g.adjacency[v] | (1 << v) for v in range(n)]
-    full = (1 << n) - 1
-    ub = _greedy_cover_bound(g)
-    best: tuple[int, tuple[int, ...]] | None = None
-    nodes = 0
-    for k in range(n + 1):
-        if best is not None and 2 * k >= best[0]:
-            break
-        if best is None and 2 * k > ub:
-            break
-        for combo in itertools.combinations(range(n), k):
-            nodes += 1
-            covered = 0
-            for v in combo:
-                covered |= closed[v]
-            cost = 2 * k + (full & ~covered).bit_count()
-            if best is None or cost < best[0]:
-                values = [1] * n
-                for v in bits(covered):
-                    values[v] = 0
-                for v in combo:
-                    values[v] = 2
-                best = (cost, tuple(values))
-    assert best is not None
-    return SolveResult(best[0], RomanAssignment(best[1]), nodes)
+    return _minimise(g, _ROMAN_LABELS, RomanAssignment)
 
 
 def all_min_2rdf(g: Graph, cap: int = ALL_MIN_ORDER_CAP) -> list[RainbowAssignment]:
@@ -342,5 +365,5 @@ def all_min_2rdf(g: Graph, cap: int = ALL_MIN_ORDER_CAP) -> list[RainbowAssignme
         found.append(tuple(codes))
         return target
 
-    _search(g, target, collect)
+    _search(g, _RAINBOW_LABELS, target, collect)
     return [RainbowAssignment(codes) for codes in sorted(found)]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .domination import (RomanAssignment, gamma_r2, gamma_roman,
                          is_roman_dominating)
-from .graph import Graph, graph_from_edges
+from .graph import MAX_ORDER, Graph, graph_from_edges
 from .rng import SplitMix64
 
 SAT_BRUTE_FORCE_CAP = 24
@@ -65,8 +65,21 @@ class CnfFormula:
         return len(self.clauses)
 
 
+def _gadget_order(num_vars: int, num_clauses: int) -> int:
+    """Order 4n + m + 3 of the gadget; above :data:`graph.MAX_ORDER` raises."""
+    order = 4 * num_vars + num_clauses + 3
+    if order > MAX_ORDER:
+        raise ValueError(f"the gadget would have order {order}; "
+                         f"gadgets are capped at order {MAX_ORDER}")
+    return order
+
+
 def parse_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS CNF: 'c' comments, 'p cnf n m' header, 0-terminated clauses."""
+    """Parse DIMACS CNF: 'c' comments, 'p cnf n m' header, 0-terminated clauses.
+
+    A header whose gadget would exceed order :data:`graph.MAX_ORDER` is
+    rejected at that line, before any clause is read.
+    """
     header: tuple[int, int] | None = None
     tokens: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -83,6 +96,10 @@ def parse_dimacs(text: str) -> CnfFormula:
                 header = (int(fields[2]), int(fields[3]))
             except ValueError:
                 raise DimacsError(f"line {lineno}: header must be 'p cnf n m'") from None
+            try:
+                _gadget_order(*header)
+            except ValueError as exc:
+                raise DimacsError(f"line {lineno}: {exc}") from None
             continue
         if header is None:
             raise DimacsError(f"line {lineno}: clause before 'p cnf' header")
@@ -177,11 +194,12 @@ def build_reduction(f: CnfFormula) -> ReductionGraph:
 
     The parameter identities hold for any formula; the gadget is
     connected exactly when every variable occurs in some clause,
-    since an unused variable leaves its diamond isolated."""
+    since an unused variable leaves its diamond isolated.  Gadgets above
+    order :data:`graph.MAX_ORDER` raise ValueError."""
     if f.num_clauses < 2:
         raise ValueError("reduction needs at least two clauses")
     n, m = f.num_vars, f.num_clauses
-    order = 4 * n + m + 3
+    order = _gadget_order(n, m)
     u, v, w = 4 * n + m, 4 * n + m + 1, 4 * n + m + 2
     edges: list[tuple[int, int]] = []
     roles: list[Role] = []

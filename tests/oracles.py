@@ -4,12 +4,17 @@ Everything here is written straight off the definitions: enumerate all
 4^n color-set assignments or 3^n Roman assignments, test validity with
 explicit loops, try all n! bijections for isomorphism, and try all 2^n
 truth assignments for satisfiability.  Slow on purpose; trusted because
-there is nothing in them to get wrong.
+there is nothing in them to get wrong.  Solvers the package replaced
+stay here too, as differential oracles for their replacements.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from rainbowroman.domination import (SOLVER_ORDER_CAP, RomanAssignment,
+                                     SolveResult, _greedy_cover_bound)
+from rainbowroman.graph import bits
 
 PRODUCT_CHECK_ORDER_CAP = 20
 
@@ -78,6 +83,48 @@ def gamma_r2_product_check(g) -> int:
             if covered == full:
                 return k
     raise AssertionError("unreachable: the full vertex set always dominates")
+
+
+def gamma_roman_subsets(g) -> SolveResult:
+    """Minimum Roman domination weight by enumerating the 2-valued set.
+
+    Fixing the set V2 of 2-vertices forces the optimal completion: 0 on
+    dominated outsiders, 1 on the rest, for cost 2|V2| + |V \\ N[V2]|.
+    Subsets are tried by increasing cardinality (lexicographically within
+    one cardinality); enumeration stops once 2|V2| can no longer beat the
+    incumbent.  The witness is the first optimal subset encountered.
+    The differential oracle for ``domination.gamma_roman``.
+    """
+    n = g.order
+    if n > SOLVER_ORDER_CAP:
+        raise ValueError(f"solver is capped at order {SOLVER_ORDER_CAP}")
+    if n == 0:
+        return SolveResult(0, RomanAssignment(()), 0)
+    closed = [g.adjacency[v] | (1 << v) for v in range(n)]
+    full = (1 << n) - 1
+    ub = _greedy_cover_bound(g)
+    best: tuple[int, tuple[int, ...]] | None = None
+    nodes = 0
+    for k in range(n + 1):
+        if best is not None and 2 * k >= best[0]:
+            break
+        if best is None and 2 * k > ub:
+            break
+        for combo in itertools.combinations(range(n), k):
+            nodes += 1
+            covered = 0
+            for v in combo:
+                covered |= closed[v]
+            cost = 2 * k + (full & ~covered).bit_count()
+            if best is None or cost < best[0]:
+                values = [1] * n
+                for v in bits(covered):
+                    values[v] = 0
+                for v in combo:
+                    values[v] = 2
+                best = (cost, tuple(values))
+    assert best is not None
+    return SolveResult(best[0], RomanAssignment(best[1]), nodes)
 
 
 def roman_valid(g, values) -> bool:

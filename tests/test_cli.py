@@ -6,6 +6,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -123,6 +124,23 @@ class TestReduce:
         bad.write_text("p cnf 1 1\n1\n")
         code, _, err = run(capsys, "reduce", str(bad))
         assert code == 1 and "error:" in err
+
+    def test_gadget_above_order_64_writes_nothing(self, capsys, tmp_path):
+        cnf = tmp_path / "wide.cnf"
+        cnf.write_text("p cnf 16 2\n1 2 3 0\n-1 -2 16 0\n")
+        target = tmp_path / "gadget.el"
+        code, out, err = run(capsys, "reduce", str(cnf), "--out", str(target))
+        assert code == 1 and out == ""
+        assert "line 1: the gadget would have order 69" in err
+        assert not target.exists()
+
+    def test_huge_header_exits_fast(self, capsys, tmp_path):
+        cnf = tmp_path / "huge.cnf"
+        cnf.write_text("p cnf 1000000000 1\n1 0\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "reduce", str(cnf), "--check")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == "" and "capped at order 64" in err
 
 
 class TestRecognize:

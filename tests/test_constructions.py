@@ -76,7 +76,7 @@ class TestStarLink:
 
 
 class TestGapInstance:
-    @pytest.mark.parametrize("k", range(5))
+    @pytest.mark.parametrize("k", range(7))
     def test_requested_gap_is_attained(self, k):
         g = gap_instance(k)
         assert connected(g)

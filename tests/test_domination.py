@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from rainbowroman.constructions import add_c4, star_link
 from rainbowroman.domination import (ALL_MIN_ORDER_CAP, SOLVER_ORDER_CAP,
                                      RainbowAssignment, RomanAssignment,
                                      all_min_2rdf, format_rainbow,
@@ -19,8 +20,8 @@ from rainbowroman.graph import (complete_graph, cycle_graph, empty_graph,
 from rainbowroman.rng import SplitMix64
 
 from oracles import (PRODUCT_CHECK_ORDER_CAP, gamma_r2_product_check,
-                     naive_gamma_r2, naive_gamma_roman, naive_min_2rdfs,
-                     rainbow_valid, roman_valid)
+                     gamma_roman_subsets, naive_gamma_r2, naive_gamma_roman,
+                     naive_min_2rdfs, rainbow_valid, roman_valid)
 
 
 def all_labeled(n):
@@ -32,6 +33,14 @@ def all_labeled(n):
 
 def random_graph(rng, n):
     return from_edge_mask(n, rng.next_bits(n * (n - 1) // 2))
+
+
+def random_permutation(rng, n):
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
 
 
 class TestAssignments:
@@ -119,11 +128,7 @@ class TestSolverAgreement:
         rng = SplitMix64(77)
         for n in range(1, 7):
             g = random_graph(rng, n)
-            perm = list(range(n))
-            for i in range(n - 1, 0, -1):
-                j = rng.next_below(i + 1)
-                perm[i], perm[j] = perm[j], perm[i]
-            h = relabel(g, perm)
+            h = relabel(g, random_permutation(rng, n))
             assert gamma_r2(g).value == gamma_r2(h).value
             assert gamma_roman(g).value == gamma_roman(h).value
 
@@ -152,6 +157,33 @@ class TestSolverAgreement:
                 r2 = gamma_r2(g).value
                 roman = gamma_roman(g).value
                 assert r2 <= roman <= 3 * r2 // 2
+
+
+class TestRomanOracle:
+    @staticmethod
+    def graphs():
+        for k in range(5):
+            g = complete_graph(1)
+            for _ in range(k):
+                g = add_c4(g)
+            yield star_link(g) if k else g
+        rng = SplitMix64(2004)
+        for n in range(20, 25):
+            for _ in range(3):
+                yield relabel(cycle_graph(n), random_permutation(rng, n))
+        pairs = {n: list(itertools.combinations(range(n), 2)) for n in range(10, 21)}
+        for percent in (15, 30, 50):
+            for i in range(20):
+                n = 10 + i % 11
+                yield graph_from_edges(n, (p for p in pairs[n]
+                                           if rng.next_below(100) < percent))
+
+    def test_kernel_matches_subset_enumerator(self):
+        for g in self.graphs():
+            res = gamma_roman(g)
+            assert res.value == gamma_roman_subsets(g).value
+            assert is_roman_dominating(g, res.witness)
+            assert res.witness.weight() == res.value
 
 
 class TestAllMin:
@@ -193,9 +225,18 @@ class TestCaps:
         with pytest.raises(ValueError, match="capped"):
             gamma_r2_product_check(empty_graph(PRODUCT_CHECK_ORDER_CAP + 1))
 
-    def test_large_sparse_graph_is_fine(self):
-        g = path_graph(40)
-        res = gamma_r2(g)
-        assert is_2rainbow_dominating(g, res.witness)
-        # gamma_r2(P_n) = floor(n/2) + 1 for n >= 2
-        assert res.value == 21
+    @pytest.mark.parametrize("n", [*range(3, 31), 40, 48, 56, 63, 64])
+    def test_large_sparse_graph_is_fine(self, n):
+        # Bresar and Kraner Sumenjak (2007) for the rainbow values;
+        # Cockayne et al., Discrete Math. 278 (2004) for the Roman ones
+        roman = -(-2 * n // 3)
+        for g, r2 in ((path_graph(n), n // 2 + 1),
+                      (cycle_graph(n), n // 2 + -(-n // 4) - n // 4)):
+            res = gamma_r2(g)
+            assert res.value == r2
+            assert is_2rainbow_dominating(g, res.witness)
+            assert res.witness.weight() == r2
+            res = gamma_roman(g)
+            assert res.value == roman
+            assert is_roman_dominating(g, res.witness)
+            assert res.witness.weight() == roman

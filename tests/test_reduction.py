@@ -70,6 +70,20 @@ class TestDimacs:
         with pytest.raises(DimacsError, match=pattern):
             parse_dimacs(text)
 
+    @pytest.mark.parametrize("header,order", [
+        ("p cnf 16 2", 69), ("p cnf 15 2", 65), ("p cnf 1 59", 66),
+        ("p cnf 1000000000 1", 4000000004),
+    ])
+    def test_gadget_order_cap_at_header(self, header, order):
+        # the bad clause after the header is never reached
+        with pytest.raises(DimacsError,
+                           match=f"line 2: the gadget would have order {order}"):
+            parse_dimacs(f"c comment\n{header}\nnot a clause\n")
+
+    def test_largest_gadget_passes(self):
+        f = parse_dimacs("p cnf 14 5\n1 0\n2 0\n3 0\n4 0\n5 0\n")
+        assert build_reduction(f).graph.order == 64
+
 
 class TestGadgetStructure:
     @pytest.mark.parametrize("f", [
@@ -121,6 +135,10 @@ class TestGadgetStructure:
     def test_needs_two_clauses(self):
         with pytest.raises(ValueError, match="at least two clauses"):
             build_reduction(CnfFormula(1, ((1,),)))
+
+    def test_order_cap(self):
+        with pytest.raises(ValueError, match="capped at order 64"):
+            build_reduction(CnfFormula(16, ((1, 2, 3), (-1, -2, 16))))
 
 
 class TestSatBruteForce:
