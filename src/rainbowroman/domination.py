@@ -24,10 +24,10 @@ Rainbow codes are packed as ints: 0 = {}, 1 = {1}, 2 = {2}, 3 = {1, 2}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .graph import MAX_ORDER, Graph, bits
+from .record import Record
 
 SOLVER_ORDER_CAP = MAX_ORDER
 ALL_MIN_ORDER_CAP = 16
@@ -37,6 +37,7 @@ class VerificationError(RuntimeError):
     """An identity that always holds failed on a computed instance."""
 
 _CODE_WEIGHT = (0, 1, 1, 2)
+_SWAPPED = (0, 2, 1, 3)  # each code with colors 1 and 2 exchanged
 # (code, weight, shows) in branch order; code 0 must be dominated
 _RAINBOW_LABELS = ((3, 2, 3), (1, 1, 1), (2, 1, 2), (0, 0, 0))
 _ROMAN_LABELS = ((2, 2, 3), (1, 1, 0), (0, 0, 0))
@@ -44,15 +45,16 @@ _RAINBOW_TOKENS = {".": 0, "1": 1, "2": 2, "12": 3}
 _RAINBOW_NAMES = (".", "1", "2", "12")
 
 
-@dataclass(frozen=True)
-class RainbowAssignment:
+class RainbowAssignment(Record):
     """Per-vertex color-set codes in vertex order (0, 1, 2, or 3)."""
 
+    __slots__ = ("codes",)
     codes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if any(c not in (0, 1, 2, 3) for c in self.codes):
+    def __init__(self, codes: tuple[int, ...]) -> None:
+        if any(c not in (0, 1, 2, 3) for c in codes):
             raise ValueError("rainbow codes must be 0, 1, 2, or 3")
+        object.__setattr__(self, "codes", codes)
 
     @property
     def order(self) -> int:
@@ -62,15 +64,16 @@ class RainbowAssignment:
         return sum(_CODE_WEIGHT[c] for c in self.codes)
 
 
-@dataclass(frozen=True)
-class RomanAssignment:
+class RomanAssignment(Record):
     """Per-vertex values 0, 1, or 2 in vertex order."""
 
+    __slots__ = ("values",)
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if any(x not in (0, 1, 2) for x in self.values):
+    def __init__(self, values: tuple[int, ...]) -> None:
+        if any(x not in (0, 1, 2) for x in values):
             raise ValueError("Roman values must be 0, 1, or 2")
+        object.__setattr__(self, "values", values)
 
     @property
     def order(self) -> int:
@@ -80,8 +83,7 @@ class RomanAssignment:
         return sum(self.values)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Optimum value, the deterministic witness, and nodes explored."""
 
     value: int
@@ -260,6 +262,17 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...], limit: int,
     function of weight at most ``limit``; it goes to ``leaf(codes,
     weight)``, which returns the limit for the rest of the search.
     ``codes`` is the live list, so a leaf that keeps it must copy it.
+
+    Swapping colors 1 and 2 maps a 2-rainbow dominating function to one
+    of the same weight, so the search reaches one function of each such
+    pair: a label showing color 2 alone waits until a label showing
+    color 1 alone sits on an earlier vertex.  The reached functions are
+    those with no singleton or with {1} as the first singleton in branch
+    order.  This keeps the first optimum in branch order: if its first
+    singleton were {2}, its swap would agree with it before that vertex,
+    carry {1} there, which is tried before {2}, and so come earlier.  The
+    Roman table has no label showing one color alone, so the rule never
+    applies to it.
     """
     n = g.order
     adj = g.adjacency
@@ -272,18 +285,20 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...], limit: int,
     shown_to = [(0, row, row << n, row | row << n) for row in adj]
     offers = [(weight, [rung | masks[shows] for rung, masks in zip(rungs, shown_to)])
               for code, weight, shows in labels if code]
+    # the labels allowed before any label showing color 1 alone is placed
+    opening = tuple(label for label in labels if label[2] != 2)
     codes = [0] * n
     nodes = 0
 
     def descend(depth: int, weight: int, undecided: int, empties: int,
-                shown: int) -> None:
+                shown: int, opened: bool) -> None:
         nonlocal limit, nodes
         if depth == n:
             limit = leaf(codes, weight)
             return
         v = branch[depth]
         remaining = undecided & ~(1 << v)
-        for code, cost, shows in labels:
+        for code, cost, shows in labels if opened else opening:
             w = weight + cost
             if w > limit:
                 continue
@@ -300,9 +315,10 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...], limit: int,
                 bound = _ratio_bound(offers, remaining, demand)
                 if bound is None or w + bound > limit:
                     continue
-            descend(depth + 1, w, remaining, now_empty, now_shown)
+            descend(depth + 1, w, remaining, now_empty, now_shown,
+                    opened or shows == 1)
 
-    descend(0, 0, (1 << n) - 1, 0, 0)
+    descend(0, 0, (1 << n) - 1, 0, 0, False)
     return nodes
 
 
@@ -354,7 +370,9 @@ def all_min_2rdf(g: Graph, cap: int = ALL_MIN_ORDER_CAP) -> list[RainbowAssignme
     Complete and duplicate-free, in lexicographic order of the code
     vector under 0 < 1 < 2 < 3.  :func:`_search` runs with the optimum
     from :func:`gamma_r2` as a fixed weight limit, so every assignment it
-    reaches is optimal; they are sorted afterwards.
+    reaches is optimal.  It reaches one function of each color-swapped
+    pair, the one whose first singleton in branch order is {1}; the swap
+    of each function with a singleton is added back, and all are sorted.
     """
     if g.order > cap:
         raise ValueError(f"minimum-function enumeration is capped at order {cap}")
@@ -366,4 +384,5 @@ def all_min_2rdf(g: Graph, cap: int = ALL_MIN_ORDER_CAP) -> list[RainbowAssignme
         return target
 
     _search(g, _RAINBOW_LABELS, target, collect)
+    found += [tuple(_SWAPPED[c] for c in codes) for codes in found if 1 in codes]
     return [RainbowAssignment(codes) for codes in sorted(found)]

@@ -10,8 +10,9 @@ rows; order is capped only where an operation's cost demands it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+from .record import Record
 
 CANONICAL_ORDER_CAP = 10
 MAX_ORDER = 64  # the largest order any solver accepts, and the edge-list cap
@@ -37,8 +38,7 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """A finite simple undirected graph.
 
     ``adjacency[v]`` has bit u set iff uv is an edge.  Rows must be
@@ -46,28 +46,33 @@ class Graph:
     label per vertex and plays no role in equality-relevant structure.
     """
 
+    __slots__ = ("order", "adjacency", "names")
     order: int
     adjacency: tuple[int, ...]
-    names: tuple[str, ...] | None = None
+    names: tuple[str, ...] | None
 
-    def __post_init__(self) -> None:
-        n = self.order
+    def __init__(self, order: int, adjacency: tuple[int, ...],
+                 names: tuple[str, ...] | None = None) -> None:
+        n = order
         if n < 0:
             raise ValueError("graph order must be non-negative")
-        if len(self.adjacency) != n:
+        if len(adjacency) != n:
             raise ValueError("adjacency must have one row per vertex")
         full = (1 << n) - 1
-        for v, row in enumerate(self.adjacency):
+        for v, row in enumerate(adjacency):
             if row & ~full:
                 raise ValueError(f"adjacency row {v} references a vertex >= order")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
         for v in range(n):
-            for u in bits(self.adjacency[v]):
-                if not (self.adjacency[u] >> v) & 1:
+            for u in bits(adjacency[v]):
+                if not (adjacency[u] >> v) & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        if self.names is not None and len(self.names) != n:
+        if names is not None and len(names) != n:
             raise ValueError("names must have one entry per vertex")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "names", names)
 
     def degree(self, v: int) -> int:
         return self.adjacency[v].bit_count()

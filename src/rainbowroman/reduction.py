@@ -16,11 +16,12 @@ carries the value 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .domination import (RomanAssignment, gamma_r2, gamma_roman,
                          is_roman_dominating)
 from .graph import MAX_ORDER, Graph, graph_from_edges
+from .record import Record
 from .rng import SplitMix64
 
 SAT_BRUTE_FORCE_CAP = 24
@@ -30,8 +31,7 @@ class DimacsError(ValueError):
     """Malformed DIMACS CNF text."""
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(Record):
     """A CNF formula with at most three literals per clause.
 
     Literals are nonzero ints: +i and -i for variable i in 1..num_vars.
@@ -39,25 +39,27 @@ class CnfFormula:
     clauses (a variable together with its negation) are rejected.
     """
 
+    __slots__ = ("num_vars", "clauses")
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.num_vars < 1:
+    def __init__(self, num_vars: int, clauses: tuple[tuple[int, ...], ...]) -> None:
+        if num_vars < 1:
             raise ValueError("formula needs at least one variable")
         cleaned = []
-        for clause in self.clauses:
+        for clause in clauses:
             if not clause:
                 raise ValueError("empty clause")
             if len(clause) > 3:
                 raise ValueError("clause has more than three literals")
             for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
+                if lit == 0 or abs(lit) > num_vars:
                     raise ValueError(f"literal {lit} out of range")
             dedup = tuple(dict.fromkeys(clause))
             if any(-lit in dedup for lit in dedup):
                 raise ValueError("tautological clause")
             cleaned.append(dedup)
+        object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "clauses", tuple(cleaned))
 
     @property
@@ -144,8 +146,7 @@ Role = tuple
 # ("u",) ("v",) ("w",)         the induced path
 
 
-@dataclass(frozen=True)
-class ReductionGraph:
+class ReductionGraph(NamedTuple):
     """The gadget graph together with the role of every vertex."""
 
     graph: Graph
@@ -260,8 +261,7 @@ def extract_assignment(r: ReductionGraph, g: RomanAssignment) -> tuple[bool, ...
     return tuple(g.values[r.pos_vertex(i)] == 2 for i in range(1, r.num_vars + 1))
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(NamedTuple):
     """Solved parameters of a gadget next to the satisfiability ground truth."""
 
     formula: CnfFormula

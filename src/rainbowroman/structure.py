@@ -19,7 +19,7 @@ properties per function, so failures point at a concrete witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .domination import RainbowAssignment, all_min_2rdf, format_rainbow
 from .graph import Graph, bits
@@ -34,8 +34,7 @@ def is_extremal(g: Graph) -> bool:
     return 2 * roman.value == 3 * r2.value
 
 
-@dataclass(frozen=True)
-class StructureAudit:
+class StructureAudit(NamedTuple):
     """One minimum function's partition, property verdicts, and private counts."""
 
     assignment: RainbowAssignment
@@ -112,6 +111,9 @@ def audit_extremal(g: Graph) -> list[StructureAudit]:
 
 
 def audit_summary(g: Graph) -> tuple[int, bool]:
-    """(number of minimum functions, all of them pass) for any graph."""
-    audits = [audit_function(g, f) for f in all_min_2rdf(g)]
-    return len(audits), all(a.all_pass() for a in audits)
+    """(number of minimum functions, all of them pass) for any graph.
+
+    Auditing stops at the first minimum function that fails.
+    """
+    functions = all_min_2rdf(g)
+    return len(functions), all(audit_function(g, f).all_pass() for f in functions)

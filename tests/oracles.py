@@ -53,6 +53,31 @@ def naive_min_2rdfs(g) -> list[tuple[int, ...]]:
             if rainbow_weight(codes) == target and rainbow_valid(g, codes)]
 
 
+RAINBOW_BRANCH_ORDER = (3, 1, 2, 0)  # {1,2}, {1}, {2}, {}
+ROMAN_BRANCH_ORDER = (2, 1, 0)
+
+
+def first_optimum(g, labels, weight, valid) -> tuple[int, ...]:
+    """The first minimum-weight valid assignment in the solvers' branch order.
+
+    Vertices are decided by descending degree, ties by index, and each
+    tries the values of ``labels`` in turn; ``itertools.product`` lists
+    the choices in exactly that order.  An assignment replaces the
+    incumbent only when strictly lighter, so the first optimum is kept.
+    Returns the values in vertex order.
+    """
+    n = g.order
+    branch = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    slot = [branch.index(v) for v in range(n)]
+    best = None
+    for choice in itertools.product(labels, repeat=n):
+        codes = tuple(choice[slot[v]] for v in range(n))
+        w = weight(codes)
+        if (best is None or w < best[0]) and valid(g, codes):
+            best = (w, codes)
+    return best[1]
+
+
 def gamma_r2_product_check(g) -> int:
     """Domination number of the prism G x K2, an independent route to
     the 2-rainbow value.

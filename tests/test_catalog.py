@@ -7,8 +7,9 @@ import json
 import pytest
 
 from rainbowroman.catalog import (CSV_COLUMNS, DEDUP_ORDER_CAP,
-                                  LABELED_ORDER_CAP, SCAN_ORDER_CAP,
-                                  enumerate_graphs, random_graphs, scan)
+                                  LABELED_ORDER_CAP, SAMPLE_COUNT_CAP,
+                                  SCAN_ORDER_CAP, enumerate_graphs,
+                                  random_graphs, scan)
 from rainbowroman.graph import canonical_form, edge_mask
 
 from oracles import isomorphic
@@ -155,3 +156,5 @@ class TestScan:
             scan(SCAN_ORDER_CAP + 1)
         with pytest.raises(ValueError, match="capped"):
             scan(2, sample=(11, 5, 0))
+        with pytest.raises(ValueError, match="capped"):
+            scan(2, sample=(5, SAMPLE_COUNT_CAP + 1, 0))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from rainbowroman import cli, hereditary
+from rainbowroman import catalog, cli, hereditary
 from rainbowroman.catalog import scan
 from rainbowroman.domination import is_2rainbow_dominating, parse_rainbow
 from rainbowroman.graph import parse_edge_list
@@ -299,6 +299,19 @@ class TestScan:
     def test_order_cap(self, capsys):
         code, _, err = run(capsys, "scan", "--max-order", "9")
         assert code == 1 and "error:" in err
+
+    @pytest.mark.parametrize("spec", [
+        "10,100000000,1", f"10,{catalog.SAMPLE_COUNT_CAP + 1},1", "10,-1,1",
+        "11,5,1", "-1,5,1",
+    ])
+    def test_sample_caps_checked_first(self, capsys, monkeypatch, spec):
+        def enumerated(*args, **kwargs):
+            raise AssertionError("enumeration started before the cap check")
+
+        monkeypatch.setattr(catalog, "enumerate_graphs", enumerated)
+        monkeypatch.setattr(catalog, "random_graphs", enumerated)
+        code, out, err = run(capsys, "scan", "--max-order", "6", f"--sample={spec}")
+        assert code == 1 and out == "" and "capped" in err
 
     def test_runs_without_numpy(self):
         src = str(Path(cli.__file__).resolve().parents[1])

@@ -19,9 +19,11 @@ from rainbowroman.graph import (complete_graph, cycle_graph, empty_graph,
                                 relabel)
 from rainbowroman.rng import SplitMix64
 
-from oracles import (PRODUCT_CHECK_ORDER_CAP, gamma_r2_product_check,
+from oracles import (PRODUCT_CHECK_ORDER_CAP, RAINBOW_BRANCH_ORDER,
+                     ROMAN_BRANCH_ORDER, first_optimum, gamma_r2_product_check,
                      gamma_roman_subsets, naive_gamma_r2, naive_gamma_roman,
-                     naive_min_2rdfs, rainbow_valid, roman_valid)
+                     naive_min_2rdfs, rainbow_valid, rainbow_weight,
+                     roman_valid)
 
 
 def all_labeled(n):
@@ -131,6 +133,14 @@ class TestSolverAgreement:
             h = relabel(g, random_permutation(rng, n))
             assert gamma_r2(g).value == gamma_r2(h).value
             assert gamma_roman(g).value == gamma_roman(h).value
+
+    def test_witness_is_first_optimum_in_branch_order(self):
+        for n in range(0, 6):
+            for g in all_labeled(n):
+                assert gamma_r2(g).witness.codes == first_optimum(
+                    g, RAINBOW_BRANCH_ORDER, rainbow_weight, rainbow_valid)
+                assert gamma_roman(g).witness.values == first_optimum(
+                    g, ROMAN_BRANCH_ORDER, sum, roman_valid)
 
     def test_witness_is_deterministic(self):
         rng = SplitMix64(99)

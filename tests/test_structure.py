@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from rainbowroman import structure
 from rainbowroman.catalog import enumerate_graphs
 from rainbowroman.domination import RainbowAssignment, all_min_2rdf
 from rainbowroman.graph import (bits, complete_graph, cycle_graph,
@@ -111,3 +112,17 @@ class TestAuditExtremal:
         count, all_pass = audit_summary(complete_graph(1))
         assert count == 2
         assert not all_pass
+
+    def test_summary_stops_at_first_failure(self, monkeypatch):
+        g = path_graph(6)
+        audited = []
+
+        def counting(h, f):
+            audited.append(f)
+            return audit_function(h, f)
+
+        monkeypatch.setattr(structure, "audit_function", counting)
+        count, all_pass = audit_summary(g)
+        assert count == len(all_min_2rdf(g)) > 1
+        assert not all_pass
+        assert audited == all_min_2rdf(g)[:1]
