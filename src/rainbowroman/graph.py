@@ -327,6 +327,15 @@ def canonical_form(g: Graph) -> bytes:
     degree-sorted orderings is sound (that restricted set of encodings is
     itself an isomorphism invariant) and prunes most of the n! search; a
     prefix comparison against the incumbent prunes the rest.
+
+    Twins are explored once per level.  If two unplaced candidates u and
+    v satisfy N(u) \\ {v} = N(v) \\ {u}, swapping them is an automorphism
+    that fixes every placed vertex, so it maps the orderings that place
+    v next onto those that place u next with the same column sequences.
+    The subtree of whichever comes later in candidate order therefore
+    holds no encoding the earlier one lacks, and is skipped; the form
+    stays the same, and symmetric graphs such as the edgeless one no
+    longer walk every ordering of their tied vertices.
     """
     n = g.order
     if n > CANONICAL_ORDER_CAP:
@@ -359,17 +368,23 @@ def canonical_form(g: Graph) -> bytes:
                 col |= ((row >> stack[j]) & 1) << j
             cands.append((col, v))
         cands.sort()
+        explored: list[int] = []
         for col, v in cands:
             if col > best[k]:
                 break  # candidates are sorted: the rest are no better
-            if col < best[k]:
-                best[k] = col
-                for j in range(k + 1, n):
-                    best[j] = big
-            cols[k] = col
-            stack.append(v)
-            extend(k + 1, used | (1 << v))
-            stack.pop()
+            for u in explored:
+                if (adj[u] ^ adj[v]) & ~(1 << u | 1 << v) == 0:
+                    break  # a twin of an explored sibling: skip its subtree
+            else:
+                explored.append(v)
+                if col < best[k]:
+                    best[k] = col
+                    for j in range(k + 1, n):
+                        best[j] = big
+                cols[k] = col
+                stack.append(v)
+                extend(k + 1, used | (1 << v))
+                stack.pop()
 
     extend(0, 0)
     enc = 0

@@ -17,9 +17,8 @@ from functools import lru_cache
 
 from .domination import (RainbowAssignment, SolveResult, all_min_2rdf,
                          gamma_r2, gamma_roman)
-from .graph import (Graph, bits, canonical_form, complete_graph, cycle_graph,
-                    disjoint_union, edge_mask, empty_graph, from_edge_mask,
-                    graph_from_edges, induced_subgraph, path_graph)
+from .graph import (Graph, complete_graph, cycle_graph, disjoint_union,
+                    edge_mask, empty_graph, from_edge_mask, path_graph)
 
 HAS_INDUCED_PATTERN_CAP = 6
 HAS_INDUCED_HOST_CAP = 30  # C(30, 6) = 593,775 subsets for an order-6 pattern
@@ -42,11 +41,6 @@ PRESET_FAMILIES = {
     "theorem2": EQUALITY_FAMILY,
     "theorem3": THREE_HALVES_FAMILY,
 }
-
-
-@lru_cache(maxsize=None)
-def _canonical_by_mask(order: int, mask: int) -> bytes:
-    return canonical_form(from_edge_mask(order, mask))
 
 
 @lru_cache(maxsize=None)
@@ -76,11 +70,22 @@ def _induced_mask(g: Graph, subset: tuple[int, ...]) -> int:
     return mask
 
 
+@lru_cache(maxsize=None)
+def _labelled_copies(order: int, mask: int) -> frozenset[int]:
+    """Edge masks of every relabelling of the graph (order, mask): at most
+    6! = 720 for a pattern under the cap."""
+    h = from_edge_mask(order, mask)
+    return frozenset(_induced_mask(h, p)
+                     for p in itertools.permutations(range(order)))
+
+
 def has_induced(g: Graph, h: Graph) -> bool:
     """True iff some induced subgraph of g is isomorphic to h.
 
-    Every order(h)-subset of g may be tried, so h is capped at order 6
-    and g at order 30.
+    Each order(h)-subset of g, read in ascending vertex order, induces an
+    edge mask; it is a copy of h exactly when that mask is one of h's
+    labelled copies.  Every subset may be tried, so h is capped at order
+    6 and g at order 30.
     """
     k = h.order
     if k > HAS_INDUCED_PATTERN_CAP:
@@ -89,9 +94,9 @@ def has_induced(g: Graph, h: Graph) -> bool:
         raise ValueError(f"host graph order is capped at {HAS_INDUCED_HOST_CAP}")
     if k > g.order:
         return False
-    target = canonical_form(h)
+    copies = _labelled_copies(k, edge_mask(h))
     for subset in itertools.combinations(range(g.order), k):
-        if _canonical_by_mask(k, _induced_mask(g, subset)) == target:
+        if _induced_mask(g, subset) in copies:
             return True
     return False
 

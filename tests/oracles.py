@@ -11,10 +11,12 @@ stay here too, as differential oracles for their replacements.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from rainbowroman.domination import (SOLVER_ORDER_CAP, RomanAssignment,
                                      SolveResult, _greedy_cover_bound)
-from rainbowroman.graph import bits
+from rainbowroman.graph import (CANONICAL_ORDER_CAP, bits, edge_mask,
+                                from_edge_mask, induced_subgraph, mask_of)
 
 PRODUCT_CHECK_ORDER_CAP = 20
 
@@ -178,6 +180,83 @@ def isomorphic(g, h) -> bool:
     for p in itertools.permutations(range(h.order)):
         mapped = {tuple(sorted((p[u], p[v]))) for u, v in h.edges()}
         if mapped == target:
+            return True
+    return False
+
+
+def canonical_form_unpruned(g) -> bytes:
+    """``graph.canonical_form`` without its twin rule: the same degree-sorted
+    search with incumbent-prefix pruning, exploring every tied candidate.
+    The differential oracle for ``graph.canonical_form``.
+    """
+    n = g.order
+    if n > CANONICAL_ORDER_CAP:
+        raise ValueError(f"canonical form is capped at order {CANONICAL_ORDER_CAP}")
+    if n == 0:
+        return bytes([0])
+    adj = g.adjacency
+    deg = [row.bit_count() for row in adj]
+    required = sorted(deg)
+    by_degree: dict[int, list[int]] = {}
+    for v in range(n):
+        by_degree.setdefault(deg[v], []).append(v)
+
+    big = 1 << 62  # larger than any k-bit column
+    best = [big] * n
+    cols = [0] * n
+    stack: list[int] = []
+
+    def extend(k: int, used: int) -> None:
+        if k == n:
+            best[:] = cols  # only reachable while matching best at every level
+            return
+        cands = []
+        for v in by_degree[required[k]]:
+            if (used >> v) & 1:
+                continue
+            col = 0
+            row = adj[v]
+            for j in range(k):
+                col |= ((row >> stack[j]) & 1) << j
+            cands.append((col, v))
+        cands.sort()
+        for col, v in cands:
+            if col > best[k]:
+                break  # candidates are sorted: the rest are no better
+            if col < best[k]:
+                best[k] = col
+                for j in range(k + 1, n):
+                    best[j] = big
+            cols[k] = col
+            stack.append(v)
+            extend(k + 1, used | (1 << v))
+            stack.pop()
+
+    extend(0, 0)
+    enc = 0
+    for k in range(n):
+        enc = (enc << k) | best[k]
+    nbits = n * (n - 1) // 2
+    return bytes([n]) + enc.to_bytes((nbits + 7) // 8, "big")
+
+
+@lru_cache(maxsize=None)
+def _unpruned_form_by_mask(order: int, mask: int) -> bytes:
+    return canonical_form_unpruned(from_edge_mask(order, mask))
+
+
+def has_induced_by_canonical(g, h) -> bool:
+    """Some order(h)-subset of g induces a graph with h's canonical form.
+
+    Canonical forms come from :func:`canonical_form_unpruned`, memoized by
+    (order, edge mask).  The differential oracle for
+    ``hereditary.has_induced``.
+    """
+    k = h.order
+    target = canonical_form_unpruned(h)
+    for subset in itertools.combinations(range(g.order), k):
+        sub = induced_subgraph(g, mask_of(subset))
+        if _unpruned_form_by_mask(k, edge_mask(sub)) == target:
             return True
     return False
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -150,6 +151,14 @@ class TestScan:
         if non_extremal_sample is not None:
             row_line = lines[1 + report.rows.index(non_extremal_sample)]
             assert row_line.endswith(",,")
+
+    def test_golden_digests(self):
+        # any change to a row, its order or the aggregate changes a digest
+        report = scan(6, sample=(8, 300, 5))
+        assert hashlib.sha256(report.to_jsonl().encode()).hexdigest() == \
+            "69e15d458535e404749ad0eb19dd3ab2a8a37cbaacc12608e5577671f0356984"
+        assert hashlib.sha256(report.to_csv().encode()).hexdigest() == \
+            "7b4c41e4530d44b9f2689b09f6b318812303bffe4948900926c0881a8704c183"
 
     def test_caps(self):
         with pytest.raises(ValueError, match="capped"):

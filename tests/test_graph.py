@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 
+from rainbowroman.catalog import enumerate_graphs
 from rainbowroman.graph import (EdgeListError, Graph, canonical_form,
                                 complete_graph, components, connected,
                                 cycle_graph, diamond_graph, disjoint_union,
@@ -16,7 +18,8 @@ from rainbowroman.graph import (EdgeListError, Graph, canonical_form,
                                 star_graph)
 from rainbowroman.rng import SplitMix64
 
-from oracles import connected_brute, has_k4_brute, isomorphic
+from oracles import (canonical_form_unpruned, connected_brute, has_k4_brute,
+                     isomorphic)
 
 
 def all_labeled(n):
@@ -28,6 +31,21 @@ def all_labeled(n):
 
 def random_graph(rng, n):
     return from_edge_mask(n, rng.next_bits(n * (n - 1) // 2))
+
+
+def largest_twin_class(g):
+    """Most vertices sharing one neighbourhood outside themselves."""
+    adj = g.adjacency
+    return max((sum(1 for u in range(g.order)
+                    if (adj[u] ^ adj[v]) & ~(1 << u | 1 << v) == 0)
+                for v in range(g.order)), default=0)
+
+
+def petersen_graph():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return graph_from_edges(10, outer + spokes + inner)
 
 
 class TestGraphType:
@@ -244,3 +262,48 @@ class TestCanonicalForm:
         assert canonical_form(empty_graph(0)) == bytes([0])
         for n in range(1, 6):
             assert canonical_form(complete_graph(n))[0] == n
+
+    def test_matches_unpruned_oracle_on_labeled_graphs_to_order_6(self):
+        for n in range(7):
+            for g in all_labeled(n):
+                assert canonical_form(g) == canonical_form_unpruned(g), \
+                    serialize_edge_list(g)
+
+    def test_matches_unpruned_oracle_on_order_7_classes(self):
+        for g in enumerate_graphs(7, dedup=True):
+            assert canonical_form(g) == canonical_form_unpruned(g), \
+                serialize_edge_list(g)
+
+    def test_matches_unpruned_oracle_on_seeded_orders_8_to_10(self):
+        # The oracle walks every ordering of a twin class, so one G(10, 0.9)
+        # with six universal vertices costs it 22 s.  Graphs with a twin
+        # class above five vertices are left to the exhaustive tests above
+        # and the symmetric order-10 graphs below.
+        rng = SplitMix64(2014)
+        pairs = {n: list(itertools.combinations(range(n), 2)) for n in (8, 9, 10)}
+        checked = 0
+        for percent in range(10, 100, 10):
+            for n in (8, 9, 10):
+                for _ in range(45):
+                    g = graph_from_edges(n, (p for p in pairs[n]
+                                             if rng.next_below(100) < percent))
+                    if largest_twin_class(g) > 5:
+                        continue
+                    assert canonical_form(g) == canonical_form_unpruned(g), \
+                        serialize_edge_list(g)
+                    checked += 1
+        assert checked >= 1000
+
+    def test_symmetric_order_10_graphs_finish_fast(self):
+        k55 = graph_from_edges(10, [(i, j) for i in range(5) for j in range(5, 10)])
+        five_k2 = graph_from_edges(10, [(2 * i, 2 * i + 1) for i in range(5)])
+        graphs = [empty_graph(10), complete_graph(10), k55, five_k2,
+                  cycle_graph(10), petersen_graph()]
+        start = time.perf_counter()
+        forms = [canonical_form(g) for g in graphs]
+        elapsed = time.perf_counter() - start
+        assert forms[0] == bytes([10]) + bytes(6)
+        assert forms[1] == bytes([10]) + ((1 << 45) - 1).to_bytes(6, "big")
+        for g, form in zip(graphs[2:], forms[2:]):
+            assert form == canonical_form_unpruned(g)
+        assert elapsed < 2.0, f"six symmetric order-10 forms took {elapsed:.2f} s"

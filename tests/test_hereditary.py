@@ -6,10 +6,11 @@ import itertools
 
 import pytest
 
+from rainbowroman.catalog import enumerate_graphs
 from rainbowroman.domination import all_min_2rdf, is_2rainbow_dominating
 from rainbowroman.graph import (complete_graph, cycle_graph, disjoint_union,
-                                empty_graph, from_edge_mask, path_graph,
-                                star_graph)
+                                empty_graph, from_edge_mask,
+                                graph_from_edges, path_graph, star_graph)
 from rainbowroman.hereditary import (DIRECT_CHECK_ORDER_CAP, EQUALITY_FAMILY,
                                      HAS_INDUCED_PATTERN_CAP, PRESET_FAMILIES,
                                      THREE_HALVES_FAMILY, canonical_min_2rdf,
@@ -19,7 +20,9 @@ from rainbowroman.hereditary import (DIRECT_CHECK_ORDER_CAP, EQUALITY_FAMILY,
                                      has_induced, is_free,
                                      rainbow_as_roman_codes, solve_both_cached)
 
-from oracles import has_induced_brute
+from rainbowroman.rng import SplitMix64
+
+from oracles import has_induced_brute, has_induced_by_canonical
 
 K2_PLUS_K1 = disjoint_union(complete_graph(2), complete_graph(1))
 
@@ -44,6 +47,30 @@ class TestHasInduced:
         for g in labeled_graphs(5):
             for h in patterns:
                 assert has_induced(g, h) == has_induced_brute(g, h)
+
+    def test_matches_canonical_oracle_on_small_patterns(self):
+        rng = SplitMix64(1998)
+        hosts = []
+        for n in range(10):
+            pairs = list(itertools.combinations(range(n), 2))
+            for percent in (20, 50, 80):
+                hosts.append(graph_from_edges(
+                    n, (p for p in pairs if rng.next_below(100) < percent)))
+        for h in labeled_graphs(4):
+            for g in hosts:
+                assert has_induced(g, h) == has_induced_by_canonical(g, h)
+
+    def test_matches_canonical_oracle_on_presets_to_order_7(self):
+        for n in range(8):
+            for g in enumerate_graphs(n, dedup=True):
+                for family in PRESET_FAMILIES.values():
+                    first = None
+                    for name, h in family:
+                        hit = has_induced(g, h)
+                        assert hit == has_induced_by_canonical(g, h)
+                        if hit and first is None:
+                            first = name
+                    assert find_induced_member(g, family) == first
 
     def test_pattern_cap(self):
         with pytest.raises(ValueError, match="capped"):
