@@ -20,9 +20,8 @@ from .graph import (EdgeListError, Graph, canonical_form, complete_graph,
                     induced_subgraph, is_k4_free, make_named, parse_edge_list,
                     path_graph, relabel, serialize_edge_list, star_graph)
 from .hereditary import (EQUALITY_FAMILY, PRESET_FAMILIES,
-                         THREE_HALVES_FAMILY, canonical_min_2rdf,
-                         find_induced_member, has_induced,
-                         hereditary_equality_direct,
+                         THREE_HALVES_FAMILY, find_induced_member,
+                         has_induced, hereditary_equality_direct,
                          hereditary_three_halves_direct, is_free)
 from .reduction import (CnfFormula, DimacsError, ReductionGraph,
                         ReductionReport, build_reduction, extract_assignment,
@@ -42,7 +41,7 @@ __all__ = [
     "SplitMix64", "StructureAudit", "THREE_HALVES_FAMILY",
     "VerificationError", "add_c4", "all_min_2rdf", "audit_extremal",
     "audit_function", "audit_summary", "build_reduction", "canonical_form",
-    "canonical_min_2rdf", "complete_graph", "components", "connected",
+    "complete_graph", "components", "connected",
     "cycle_graph", "diamond_graph", "disjoint_union", "empty_graph",
     "enumerate_graphs", "extract_assignment", "find_induced_member",
     "format_dimacs", "format_rainbow", "format_roman", "gamma_r2",

@@ -56,6 +56,8 @@ def _emit(obj: dict) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
+    # first, so that its order cap is checked before anything is solved
+    all_min = all_min_2rdf(g) if args.all_min else None
     out: dict = {}
     r2 = gamma_r2(g) if args.param in ("r2", "both") else None
     roman = gamma_roman(g) if args.param in ("roman", "both") else None
@@ -68,8 +70,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             out["witness_r2"] = format_rainbow(r2.witness)
         if roman is not None:
             out["witness_roman"] = format_roman(roman.witness)
-    if args.all_min:
-        out["all_min_2rdf"] = [format_rainbow(f) for f in all_min_2rdf(g)]
+    if all_min is not None:
+        out["all_min_2rdf"] = [format_rainbow(f) for f in all_min]
     _emit(out)
     return 0
 
@@ -120,33 +122,32 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
         if any(s in PRESET_FAMILIES for s in selector):
             raise ValueError("preset families cannot be mixed with files")
         family = tuple((path, _load_graph(path)) for path in selector)
-    witness = find_induced_member(g, family)
-    out: dict = {"free": witness is None, "witness": witness}
-    code = 0
-    if args.hereditary_direct:
-        if preset is None:
-            raise ValueError("--hereditary-direct needs a preset family")
+    if args.hereditary_direct and preset is None:
+        raise ValueError("--hereditary-direct needs a preset family")
+    if args.gk is not None:
+        if not args.hereditary_direct:
+            raise ValueError("--gk requires --hereditary-direct")
         if preset == "theorem2":
-            if args.gk is not None:
-                raise ValueError("--gk only applies to the theorem3 family")
-            direct = hereditary_equality_direct(g)
-            decisive = True
+            raise ValueError("--gk only applies to the theorem3 family")
+        if args.gk < 1:
+            raise ValueError("--gk must be a positive integer")
+    # the direct check runs before the pattern search, so its order cap
+    # is checked before any search starts
+    direct: dict = {}
+    if args.hereditary_direct:
+        if preset == "theorem2":
+            direct["hereditary_direct"] = hereditary_equality_direct(g)
         else:
             k = 3 if args.gk is None else args.gk
-            if k < 1:
-                raise ValueError("--gk must be a positive integer")
-            direct = hereditary_three_halves_direct(g, k)
-            decisive = k == 3  # the freeness equivalence is stated for k = 3
-            out["gk"] = k
-        out["hereditary_direct"] = direct
-        if decisive:
-            out["consistent"] = (witness is None) == direct
-            if not out["consistent"]:
-                code = 2
-    elif args.gk is not None:
-        raise ValueError("--gk requires --hereditary-direct")
+            direct["gk"] = k
+            direct["hereditary_direct"] = hereditary_three_halves_direct(g, k)
+    witness = find_induced_member(g, family)
+    out: dict = {"free": witness is None, "witness": witness, **direct}
+    # theorem2's equivalence always applies; theorem3's only at threshold 3
+    if direct and direct.get("gk", 3) == 3:
+        out["consistent"] = (witness is None) == direct["hereditary_direct"]
     _emit(out)
-    return code
+    return 0 if out.get("consistent", True) else 2
 
 
 def _cmd_structure(args: argparse.Namespace) -> int:
@@ -192,9 +193,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if args.k is not None:
         raise ValueError("--k only applies to --op gap-k")
     g = _load_graph(args.graph)
-    before = (gamma_r2(g).value, gamma_roman(g).value)
     built = add_c4(g) if args.op == "add-c4" else star_link(g)
+    # the larger graph first, so that the solver's order cap is checked
+    # before anything is solved
     after = (gamma_r2(built).value, gamma_roman(built).value)
+    before = (gamma_r2(g).value, gamma_roman(g).value)
     expected = (2, 3) if args.op == "add-c4" else (2, 2)
     deltas = (after[0] - before[0], after[1] - before[1])
     consistent = deltas == expected

@@ -10,7 +10,7 @@ rows; order is capped only where an operation's cost demands it.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .record import Record
 
@@ -42,17 +42,14 @@ class Graph(Record):
     """A finite simple undirected graph.
 
     ``adjacency[v]`` has bit u set iff uv is an edge.  Rows must be
-    symmetric and irreflexive; ``names`` optionally attaches one display
-    label per vertex and plays no role in equality-relevant structure.
+    symmetric and irreflexive.
     """
 
-    __slots__ = ("order", "adjacency", "names")
+    __slots__ = ("order", "adjacency")
     order: int
     adjacency: tuple[int, ...]
-    names: tuple[str, ...] | None
 
-    def __init__(self, order: int, adjacency: tuple[int, ...],
-                 names: tuple[str, ...] | None = None) -> None:
+    def __init__(self, order: int, adjacency: tuple[int, ...]) -> None:
         n = order
         if n < 0:
             raise ValueError("graph order must be non-negative")
@@ -68,11 +65,8 @@ class Graph(Record):
             for u in bits(adjacency[v]):
                 if not (adjacency[u] >> v) & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        if names is not None and len(names) != n:
-            raise ValueError("names must have one entry per vertex")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "adjacency", adjacency)
-        object.__setattr__(self, "names", names)
 
     def degree(self, v: int) -> int:
         return self.adjacency[v].bit_count()
@@ -93,14 +87,13 @@ class Graph(Record):
         return out
 
 
-def graph_from_edges(order: int, edges: Iterable[tuple[int, int]],
-                     names: tuple[str, ...] | None = None) -> Graph:
+def graph_from_edges(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge iterable (endpoints in either order)."""
     rows = [0] * order
     for u, v in edges:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(order, tuple(rows), names)
+    return Graph(order, tuple(rows))
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -234,18 +227,14 @@ def induced_subgraph(g: Graph, subset: int) -> Graph:
         for u in bits(g.adjacency[v] & subset):
             row |= 1 << pos[u]
         rows.append(row)
-    names = tuple(g.names[v] for v in keep) if g.names is not None else None
-    return Graph(len(keep), tuple(rows), names)
+    return Graph(len(keep), tuple(rows))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Disjoint union with h's vertices shifted up by g.order."""
     n = g.order
     rows = list(g.adjacency) + [row << n for row in h.adjacency]
-    names = None
-    if g.names is not None and h.names is not None:
-        names = g.names + h.names
-    return Graph(n + h.order, tuple(rows), names)
+    return Graph(n + h.order, tuple(rows))
 
 
 def relabel(g: Graph, perm: Iterable[int]) -> Graph:
@@ -297,21 +286,29 @@ def is_k4_free(g: Graph) -> bool:
     return True
 
 
-def edge_mask(g: Graph) -> int:
-    """Pack the edge set into an int: bit i = i-th vertex pair in lexicographic order."""
+def edge_mask(g: Graph, vertices: Sequence[int]) -> int:
+    """Pack the edges among ``vertices`` into an int.
+
+    Bit i stands for the i-th pair (vertices[a], vertices[b]), a < b, in
+    lexicographic order of (a, b), and is set iff that pair is an edge.
+    ``edge_mask(g, range(g.order))`` packs the whole graph; any other
+    sequence packs the induced subgraph it lists, relabelled in its order.
+    """
+    adj = g.adjacency
+    k = len(vertices)
     mask = 0
     i = 0
-    for u in range(g.order):
-        row = g.adjacency[u]
-        for v in range(u + 1, g.order):
-            if (row >> v) & 1:
+    for a in range(k):
+        row = adj[vertices[a]]
+        for b in range(a + 1, k):
+            if (row >> vertices[b]) & 1:
                 mask |= 1 << i
             i += 1
     return mask
 
 
 def from_edge_mask(n: int, mask: int) -> Graph:
-    """Inverse of :func:`edge_mask` for a fixed order n."""
+    """Inverse of :func:`edge_mask` over ``range(n)``."""
     pairs = list(itertools.combinations(range(n), 2))
     if mask >> len(pairs):
         raise ValueError("edge mask references a pair >= C(n,2)")

@@ -15,8 +15,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .domination import (RainbowAssignment, SolveResult, all_min_2rdf,
-                         gamma_r2, gamma_roman)
+from .domination import SolveResult, gamma_r2, gamma_roman
 from .graph import (Graph, complete_graph, cycle_graph, disjoint_union,
                     edge_mask, empty_graph, from_edge_mask, path_graph)
 
@@ -55,19 +54,7 @@ def solve_both_cached(g: Graph) -> tuple[SolveResult, SolveResult]:
     The cache pays off when many graphs share induced subgraphs, as in
     the exhaustive scans; isolated calls go straight to the solvers.
     """
-    return _solved_by_mask(g.order, edge_mask(g))
-
-
-def _induced_mask(g: Graph, subset: tuple[int, ...]) -> int:
-    mask = 0
-    i = 0
-    for a in range(len(subset)):
-        row = g.adjacency[subset[a]]
-        for b in range(a + 1, len(subset)):
-            if (row >> subset[b]) & 1:
-                mask |= 1 << i
-            i += 1
-    return mask
+    return _solved_by_mask(g.order, edge_mask(g, range(g.order)))
 
 
 @lru_cache(maxsize=None)
@@ -75,8 +62,7 @@ def _labelled_copies(order: int, mask: int) -> frozenset[int]:
     """Edge masks of every relabelling of the graph (order, mask): at most
     6! = 720 for a pattern under the cap."""
     h = from_edge_mask(order, mask)
-    return frozenset(_induced_mask(h, p)
-                     for p in itertools.permutations(range(order)))
+    return frozenset(edge_mask(h, p) for p in itertools.permutations(range(order)))
 
 
 def has_induced(g: Graph, h: Graph) -> bool:
@@ -94,9 +80,9 @@ def has_induced(g: Graph, h: Graph) -> bool:
         raise ValueError(f"host graph order is capped at {HAS_INDUCED_HOST_CAP}")
     if k > g.order:
         return False
-    copies = _labelled_copies(k, edge_mask(h))
+    copies = _labelled_copies(k, edge_mask(h, range(k)))
     for subset in itertools.combinations(range(g.order), k):
-        if _induced_mask(g, subset) in copies:
+        if edge_mask(g, subset) in copies:
             return True
     return False
 
@@ -118,56 +104,30 @@ def find_induced_member(g: Graph, family) -> str | None:
     return None
 
 
-def hereditary_equality_direct(g: Graph) -> bool:
-    """True iff every induced subgraph has equal 2-rainbow and Roman weights.
+def _every_induced(g: Graph, holds) -> bool:
+    """True iff ``holds(gamma_r2, gamma_R)`` for every induced subgraph.
 
-    All 2^n vertex subsets are enumerated, so the order is capped at 8.
+    All 2^n vertex subsets are solved, smallest first, so the order is
+    capped at 8; the walk stops at the first subgraph that fails.
     """
     n = g.order
     if n > DIRECT_CHECK_ORDER_CAP:
         raise ValueError(f"direct hereditary check is capped at order {DIRECT_CHECK_ORDER_CAP}")
-    verts = list(range(n))
-    for k in range(n + 1):
-        for subset in itertools.combinations(verts, k):
-            r2, roman = _solved_by_mask(k, _induced_mask(g, subset))
-            if r2.value != roman.value:
+    for size in range(n + 1):
+        for subset in itertools.combinations(range(n), size):
+            r2, roman = _solved_by_mask(size, edge_mask(g, subset))
+            if not holds(r2.value, roman.value):
                 return False
     return True
+
+
+def hereditary_equality_direct(g: Graph) -> bool:
+    """True iff every induced subgraph has equal 2-rainbow and Roman weights.
+    Order capped at 8."""
+    return _every_induced(g, lambda r2, roman: r2 == roman)
 
 
 def hereditary_three_halves_direct(g: Graph, k: int) -> bool:
     """True iff every induced subgraph with 2-rainbow weight >= k attains
     the extreme ratio 2*gamma_R == 3*gamma_r2.  Order capped at 8."""
-    n = g.order
-    if n > DIRECT_CHECK_ORDER_CAP:
-        raise ValueError(f"direct hereditary check is capped at order {DIRECT_CHECK_ORDER_CAP}")
-    verts = list(range(n))
-    for size in range(n + 1):
-        for subset in itertools.combinations(verts, size):
-            r2, roman = _solved_by_mask(size, _induced_mask(g, subset))
-            if r2.value >= k and 2 * roman.value != 3 * r2.value:
-                return False
-    return True
-
-
-_SOLVER_CODE_RANK = {3: 0, 1: 1, 2: 2, 0: 3}
-
-
-def canonical_min_2rdf(g: Graph) -> RainbowAssignment:
-    """The distinguished minimum 2-rainbow function: maximize the number
-    of {1,2} codes, break ties by the solver's code preference order
-    {1,2} < {1} < {2} < {}.
-
-    On a graph with no induced P5, C5, or C4, reading this function as
-    {} -> 0, singleton -> 1, {1,2} -> 2 always yields a Roman dominating
-    function of the same weight.
-    """
-    funcs = all_min_2rdf(g)
-    best_count = max(sum(1 for c in f.codes if c == 3) for f in funcs)
-    pool = [f for f in funcs if sum(1 for c in f.codes if c == 3) == best_count]
-    return min(pool, key=lambda f: tuple(_SOLVER_CODE_RANK[c] for c in f.codes))
-
-
-def rainbow_as_roman_codes(f: RainbowAssignment) -> tuple[int, ...]:
-    """The {}->0, singleton->1, {1,2}->2 reading of a rainbow assignment."""
-    return tuple(0 if c == 0 else 1 if c in (1, 2) else 2 for c in f.codes)
+    return _every_induced(g, lambda r2, roman: r2 < k or 2 * roman == 3 * r2)

@@ -139,19 +139,16 @@ def format_dimacs(f: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
-Role = tuple
-# ("pos", i) / ("neg", i)      degree-3 diamond vertices of variable i (1-based)
-# ("filler", i, 1|2)           the two degree-2 diamond vertices
-# ("clause", j)                clause vertex, j 0-based
-# ("u",) ("v",) ("w",)         the induced path
-
-
 class ReductionGraph(NamedTuple):
-    """The gadget graph together with the role of every vertex."""
+    """The gadget graph, with accessors that place each vertex.
+
+    Diamonds come first (pos, neg, two fillers per variable i, counted
+    from 1), then one vertex per clause j (counted from 0), then the path
+    u, v, w.  The accessors read only the formula.
+    """
 
     graph: Graph
     formula: CnfFormula
-    roles: tuple[Role, ...]
 
     @property
     def num_vars(self) -> int:
@@ -190,8 +187,7 @@ class ReductionGraph(NamedTuple):
 
 
 def build_reduction(f: CnfFormula) -> ReductionGraph:
-    """Build the gadget: diamonds first (pos, neg, two fillers per
-    variable), then clause vertices, then u, v, w.
+    """Build the gadget in the layout of :class:`ReductionGraph`.
 
     The parameter identities hold for any formula; the gadget is
     connected exactly when every variable occurs in some clause,
@@ -199,30 +195,26 @@ def build_reduction(f: CnfFormula) -> ReductionGraph:
     order :data:`graph.MAX_ORDER` raise ValueError."""
     if f.num_clauses < 2:
         raise ValueError("reduction needs at least two clauses")
-    n, m = f.num_vars, f.num_clauses
-    order = _gadget_order(n, m)
-    u, v, w = 4 * n + m, 4 * n + m + 1, 4 * n + m + 2
+    order = _gadget_order(f.num_vars, f.num_clauses)
+    r = ReductionGraph(None, f)  # the layout, before the graph exists
     edges: list[tuple[int, int]] = []
-    roles: list[Role] = []
-    names: list[str] = []
-    for i in range(1, n + 1):
-        p, q, f1, f2 = 4 * (i - 1), 4 * (i - 1) + 1, 4 * (i - 1) + 2, 4 * (i - 1) + 3
-        edges += [(p, q), (p, f1), (p, f2), (q, f1), (q, f2)]
-        roles += [("pos", i), ("neg", i), ("filler", i, 1), ("filler", i, 2)]
-        names += [f"x{i}", f"~x{i}", f"f{i}a", f"f{i}b"]
+    for i in range(1, f.num_vars + 1):
+        p, q = r.pos_vertex(i), r.neg_vertex(i)
+        edges.append((p, q))
+        for filler in r.filler_vertices(i):
+            edges += [(p, filler), (q, filler)]
     for j, clause in enumerate(f.clauses):
-        cj = 4 * n + j
-        roles.append(("clause", j))
-        names.append(f"C{j + 1}")
-        for lit in clause:
-            lv = 4 * (abs(lit) - 1) + (0 if lit > 0 else 1)
-            edges.append((lv, cj))
-        edges += [(u, cj), (w, cj)]
-    edges += [(u, v), (v, w)]
-    roles += [("u",), ("v",), ("w",)]
-    names += ["u", "v", "w"]
-    g = graph_from_edges(order, edges, tuple(names))
-    return ReductionGraph(g, f, tuple(roles))
+        c = r.clause_vertex(j)
+        edges += [(r.literal_vertex(lit), c) for lit in clause]
+        edges += [(r.u, c), (r.w, c)]
+    edges += [(r.u, r.v), (r.v, r.w)]
+    return r._replace(graph=graph_from_edges(order, edges))
+
+
+def _satisfies(assignment: tuple[bool, ...], f: CnfFormula) -> bool:
+    """True iff every clause has a literal the assignment makes true."""
+    return all(any(assignment[abs(lit) - 1] == (lit > 0) for lit in clause)
+               for clause in f.clauses)
 
 
 def sat_brute_force(f: CnfFormula) -> tuple[bool, ...] | None:
@@ -236,12 +228,7 @@ def sat_brute_force(f: CnfFormula) -> tuple[bool, ...] | None:
         raise ValueError(f"brute-force satisfiability is capped at {SAT_BRUTE_FORCE_CAP} variables")
     for m in range(1 << n):
         assignment = tuple(bool((m >> (n - i)) & 1) for i in range(1, n + 1))
-        ok = True
-        for clause in f.clauses:
-            if not any(assignment[abs(lit) - 1] == (lit > 0) for lit in clause):
-                ok = False
-                break
-        if ok:
+        if _satisfies(assignment, f):
             return assignment
     return None
 
@@ -311,10 +298,7 @@ def verify_reduction(f: CnfFormula) -> ReductionReport:
     if roman.value == 2 * n + 2:
         assert isinstance(roman.witness, RomanAssignment)
         assignment = extract_assignment(r, roman.witness)
-        for clause in f.clauses:
-            if not any(assignment[abs(lit) - 1] == (lit > 0) for lit in clause):
-                consistent = False
-                break
+        consistent = consistent and _satisfies(assignment, f)
     return ReductionReport(f, r.graph.order, rainbow.value, roman.value,
                            satisfiable, assignment, consistent)
 

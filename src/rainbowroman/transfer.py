@@ -11,7 +11,7 @@ always about genuine functions.
 
 from __future__ import annotations
 
-from .domination import (RainbowAssignment, RomanAssignment,
+from .domination import (_SWAPPED, RainbowAssignment, RomanAssignment,
                          is_2rainbow_dominating, is_roman_dominating)
 from .graph import Graph
 
@@ -27,7 +27,7 @@ def roman_to_rainbow(g: Graph, f: RomanAssignment) -> RainbowAssignment:
 
 def swap_colors(f: RainbowAssignment) -> RainbowAssignment:
     """Exchange colors 1 and 2 everywhere; an involution on assignments."""
-    return RainbowAssignment(tuple({0: 0, 1: 2, 2: 1, 3: 3}[c] for c in f.codes))
+    return RainbowAssignment(tuple(_SWAPPED[c] for c in f.codes))
 
 
 def rainbow_to_roman(g: Graph, f: RainbowAssignment) -> RomanAssignment:

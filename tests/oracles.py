@@ -13,8 +13,9 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from rainbowroman.domination import (SOLVER_ORDER_CAP, RomanAssignment,
-                                     SolveResult, _greedy_cover_bound)
+from rainbowroman.domination import (SOLVER_ORDER_CAP, RainbowAssignment,
+                                     RomanAssignment, SolveResult,
+                                     _greedy_cover_bound, all_min_2rdf)
 from rainbowroman.graph import (CANONICAL_ORDER_CAP, bits, edge_mask,
                                 from_edge_mask, induced_subgraph, mask_of)
 
@@ -256,7 +257,7 @@ def has_induced_by_canonical(g, h) -> bool:
     target = canonical_form_unpruned(h)
     for subset in itertools.combinations(range(g.order), k):
         sub = induced_subgraph(g, mask_of(subset))
-        if _unpruned_form_by_mask(k, edge_mask(sub)) == target:
+        if _unpruned_form_by_mask(k, edge_mask(sub, range(k))) == target:
             return True
     return False
 
@@ -304,3 +305,26 @@ def naive_sat(num_vars, clauses):
                for clause in clauses):
             return assignment
     return None
+
+
+_SOLVER_CODE_RANK = {3: 0, 1: 1, 2: 2, 0: 3}
+
+
+def canonical_min_2rdf(g) -> RainbowAssignment:
+    """The distinguished minimum 2-rainbow function: maximize the number
+    of {1,2} codes, break ties by the solver's code preference order
+    {1,2} < {1} < {2} < {}.
+
+    On a graph with no induced P5, C5, or C4, reading this function as
+    {} -> 0, singleton -> 1, {1,2} -> 2 always yields a Roman dominating
+    function of the same weight.
+    """
+    funcs = all_min_2rdf(g)
+    best_count = max(sum(1 for c in f.codes if c == 3) for f in funcs)
+    pool = [f for f in funcs if sum(1 for c in f.codes if c == 3) == best_count]
+    return min(pool, key=lambda f: tuple(_SOLVER_CODE_RANK[c] for c in f.codes))
+
+
+def rainbow_as_roman_codes(f: RainbowAssignment) -> tuple[int, ...]:
+    """The {}->0, singleton->1, {1,2}->2 reading of a rainbow assignment."""
+    return tuple(0 if c == 0 else 1 if c in (1, 2) else 2 for c in f.codes)

@@ -49,7 +49,7 @@ class TestEnumerate:
         reps = {canonical_form(g): g for g in enumerate_graphs(n, dedup=True)}
         for g in enumerate_graphs(n):
             rep = reps[canonical_form(g)]
-            assert edge_mask(rep) <= edge_mask(g)
+            assert edge_mask(rep, range(n)) <= edge_mask(g, range(n))
 
     def test_caps_and_bad_order(self):
         with pytest.raises(ValueError, match="labeled.*capped"):
@@ -62,14 +62,14 @@ class TestEnumerate:
 
 class TestRandomGraphs:
     def test_deterministic(self):
-        a = [edge_mask(g) for g in random_graphs(7, 50, seed=5)]
-        b = [edge_mask(g) for g in random_graphs(7, 50, seed=5)]
+        a = [edge_mask(g, range(7)) for g in random_graphs(7, 50, seed=5)]
+        b = [edge_mask(g, range(7)) for g in random_graphs(7, 50, seed=5)]
         assert a == b
         assert len(set(a)) > 1
 
     def test_seed_matters(self):
-        a = [edge_mask(g) for g in random_graphs(7, 20, seed=5)]
-        b = [edge_mask(g) for g in random_graphs(7, 20, seed=6)]
+        a = [edge_mask(g, range(7)) for g in random_graphs(7, 20, seed=5)]
+        b = [edge_mask(g, range(7)) for g in random_graphs(7, 20, seed=6)]
         assert a != b
 
     def test_shapes(self):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from rainbowroman import catalog, cli, hereditary
+from rainbowroman import catalog, cli, domination, hereditary
 from rainbowroman.catalog import scan
 from rainbowroman.domination import is_2rainbow_dominating, parse_rainbow
 from rainbowroman.graph import parse_edge_list
@@ -29,6 +29,20 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refuse_search(monkeypatch, module, name):
+    """Make ``module.name`` fail the test if a command reaches it."""
+    def search(*args, **kwargs):
+        raise AssertionError(f"{name} ran before a check")
+
+    monkeypatch.setattr(module, name, search)
+
+
+def edgeless(tmp_path, order):
+    path = tmp_path / f"e{order}.el"
+    path.write_text(f"{order} 0\n")
+    return str(path)
 
 
 class TestGolden:
@@ -68,6 +82,13 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["all_min_2rdf"] == \
             [".,1,.,2", ".,2,.,1", "1,.,2,.", "2,.,1,."]
+
+    def test_all_min_cap_checked_before_solving(self, capsys, monkeypatch, tmp_path):
+        refuse_search(monkeypatch, domination, "_search")
+        big = edgeless(tmp_path, domination.ALL_MIN_ORDER_CAP + 1)
+        code, out, err = run(capsys, "solve", big, "--all-min")
+        assert code == 1 and out == ""
+        assert "minimum-function enumeration is capped at order 16" in err
 
 
 class TestConvert:
@@ -183,18 +204,26 @@ class TestRecognize:
         ("recognize", C4, "--family", "theorem3", "--hereditary-direct",
          "--gk", "0"),
     ])
-    def test_flag_misuse(self, capsys, argv):
+    def test_flag_misuse(self, capsys, monkeypatch, argv):
+        # flags are checked before the pattern search starts
+        refuse_search(monkeypatch, hereditary, "has_induced")
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and "error:" in err
 
-    def test_host_order_cap(self, capsys, monkeypatch, tmp_path):
-        def enumerated(*args):
-            raise AssertionError("enumeration started before the cap check")
+    @pytest.mark.parametrize("family", ("theorem2", "theorem3"))
+    def test_direct_cap_checked_before_search(self, capsys, monkeypatch,
+                                              tmp_path, family):
+        refuse_search(monkeypatch, hereditary, "has_induced")
+        big = edgeless(tmp_path, hereditary.DIRECT_CHECK_ORDER_CAP + 1)
+        code, out, err = run(capsys, "recognize", big, "--family", family,
+                             "--hereditary-direct")
+        assert code == 1 and out == ""
+        assert "direct hereditary check is capped at order 8" in err
 
-        monkeypatch.setattr(hereditary, "_induced_mask", enumerated)
-        big = tmp_path / "edgeless.el"
-        big.write_text(f"{hereditary.HAS_INDUCED_HOST_CAP + 1} 0\n")
-        code, out, err = run(capsys, "recognize", str(big), "--family", "theorem2")
+    def test_host_order_cap(self, capsys, monkeypatch, tmp_path):
+        refuse_search(monkeypatch, hereditary, "edge_mask")
+        big = edgeless(tmp_path, hereditary.HAS_INDUCED_HOST_CAP + 1)
+        code, out, err = run(capsys, "recognize", big, "--family", "theorem2")
         assert code == 1 and out == "" and "capped" in err
 
     def test_disagreement_exits_2(self, capsys, monkeypatch):
@@ -266,6 +295,15 @@ class TestConstruct:
     def test_flag_misuse(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and "error:" in err
+
+    @pytest.mark.parametrize("op", ("add-c4", "star-link"))
+    def test_solver_cap_checked_before_solving(self, capsys, monkeypatch,
+                                               tmp_path, op):
+        # an order-61 input builds a graph over the order-64 solver cap
+        refuse_search(monkeypatch, domination, "_search")
+        code, out, err = run(capsys, "construct", "--op", op, edgeless(tmp_path, 61))
+        assert code == 1 and out == ""
+        assert "solver is capped at order 64" in err
 
     def test_verification_failure_exits_2(self, capsys, monkeypatch):
         from rainbowroman.domination import VerificationError

@@ -65,10 +65,6 @@ class TestGraphType:
         with pytest.raises(ValueError, match="one row per vertex"):
             Graph(2, (0,))
 
-    def test_rejects_bad_names_length(self):
-        with pytest.raises(ValueError, match="names"):
-            Graph(2, (0, 0), names=("a",))
-
     def test_edges_and_degrees(self):
         g = graph_from_edges(4, [(2, 0), (1, 2), (2, 3)])
         assert g.edges() == [(0, 2), (1, 2), (2, 3)]
@@ -224,9 +220,25 @@ class TestOperations:
 
     def test_edge_mask_round_trip(self):
         for g in all_labeled(4):
-            assert from_edge_mask(4, edge_mask(g)).adjacency == g.adjacency
+            assert from_edge_mask(4, edge_mask(g, range(4))).adjacency == g.adjacency
         with pytest.raises(ValueError, match="pair"):
             from_edge_mask(2, 0b10)
+
+    def test_edge_mask_of_a_vertex_sequence(self):
+        # a subset in ascending order packs its induced subgraph; a
+        # permutation packs the graph relabelled by its inverse
+        rng = SplitMix64(61)
+        for n in range(7):
+            g = random_graph(rng, n)
+            for k in range(n + 1):
+                for subset in itertools.combinations(range(n), k):
+                    sub = induced_subgraph(g, mask_of(subset))
+                    assert edge_mask(g, subset) == edge_mask(sub, range(k))
+            for perm in itertools.islice(itertools.permutations(range(n)), 50):
+                inverse = [0] * n
+                for i, v in enumerate(perm):
+                    inverse[v] = i
+                assert edge_mask(g, perm) == edge_mask(relabel(g, inverse), range(n))
 
 
 class TestCanonicalForm:

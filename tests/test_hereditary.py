@@ -13,16 +13,16 @@ from rainbowroman.graph import (complete_graph, cycle_graph, disjoint_union,
                                 graph_from_edges, path_graph, star_graph)
 from rainbowroman.hereditary import (DIRECT_CHECK_ORDER_CAP, EQUALITY_FAMILY,
                                      HAS_INDUCED_PATTERN_CAP, PRESET_FAMILIES,
-                                     THREE_HALVES_FAMILY, canonical_min_2rdf,
-                                     find_induced_member,
+                                     THREE_HALVES_FAMILY, find_induced_member,
                                      hereditary_equality_direct,
                                      hereditary_three_halves_direct,
-                                     has_induced, is_free,
-                                     rainbow_as_roman_codes, solve_both_cached)
+                                     has_induced, is_free, solve_both_cached)
 
 from rainbowroman.rng import SplitMix64
 
-from oracles import has_induced_brute, has_induced_by_canonical
+from oracles import (canonical_min_2rdf, has_induced_brute,
+                     has_induced_by_canonical, rainbow_as_roman_codes,
+                     roman_valid)
 
 K2_PLUS_K1 = disjoint_union(complete_graph(2), complete_graph(1))
 
@@ -180,7 +180,6 @@ class TestCanonicalMin2rdf:
     def test_roman_reading_on_equality_free_graphs(self):
         # wherever the forbidden trio is absent, the distinguished minimum
         # rainbow function doubles as an optimal Roman function
-        from oracles import roman_valid
         for g in labeled_graphs(5):
             if not is_free(g, EQUALITY_FAMILY):
                 continue

@@ -9,7 +9,8 @@ import pytest
 from rainbowroman.domination import (RainbowAssignment, RomanAssignment,
                                      gamma_roman, is_2rainbow_dominating,
                                      is_roman_dominating)
-from rainbowroman.graph import connected, is_k4_free
+from rainbowroman.graph import (connected, is_k4_free, parse_edge_list,
+                                serialize_edge_list)
 from rainbowroman.reduction import (SAT_BRUTE_FORCE_CAP, CnfFormula,
                                     DimacsError, build_reduction,
                                     extract_assignment, format_dimacs,
@@ -85,13 +86,16 @@ class TestDimacs:
         assert build_reduction(f).graph.order == 64
 
 
+GADGET_FORMULAS = [
+    UNSAT1, SAT1,
+    CnfFormula(2, ((1, 2), (-1, 2), (-2,))),
+    CnfFormula(3, ((1, 2, 3), (-1, -2, -3))),
+    random_formula(4, 6, seed=7),
+]
+
+
 class TestGadgetStructure:
-    @pytest.mark.parametrize("f", [
-        UNSAT1, SAT1,
-        CnfFormula(2, ((1, 2), (-1, 2), (-2,))),
-        CnfFormula(3, ((1, 2, 3), (-1, -2, -3))),
-        random_formula(4, 6, seed=7),
-    ])
+    @pytest.mark.parametrize("f", GADGET_FORMULAS)
     def test_shape(self, f):
         r = build_reduction(f)
         g = r.graph
@@ -115,7 +119,18 @@ class TestGadgetStructure:
             assert not g.has_edge(f1, f2)
             for d in (p, q):
                 assert g.has_edge(d, f1) and g.has_edge(d, f2)
-            assert g.names[p] == f"x{i}" and g.names[q] == f"~x{i}"
+            assert r.literal_vertex(i) == p and r.literal_vertex(-i) == q
+        # the accessors lay out diamonds, then clauses, then u, v, w
+        layout = [x for i in range(1, n + 1)
+                  for x in (r.pos_vertex(i), r.neg_vertex(i), *r.filler_vertices(i))]
+        layout += [r.clause_vertex(j) for j in range(m)] + [r.u, r.v, r.w]
+        assert layout == list(range(g.order))
+
+    @pytest.mark.parametrize("f", GADGET_FORMULAS + [
+        random_formula(3, 5, seed=21), random_formula(14, 5, seed=3)])
+    def test_edge_list_round_trip(self, f):
+        g = build_reduction(f).graph
+        assert parse_edge_list(serialize_edge_list(g)) == g
 
     def test_explicit_rainbow_function_has_weight_2n_plus_2(self):
         # {1} on u and every positive literal, {2} on w and every negative
