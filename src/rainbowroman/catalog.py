@@ -7,7 +7,7 @@ per isomorphism class, the least edge mask, built from the order-(n-1)
 representatives by adding vertex 0 with every possible neighbourhood
 and keeping the least mask per canonical form (vertex augmentation as
 in McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
-1998).
+1998).  Each class keeps its canonical form, which the scan reports.
 
 The scan solves both parameters over the deduplicated catalogue up to a
 requested order, plus an optional seeded random sample at a larger
@@ -44,8 +44,10 @@ CSV_COLUMNS = ("kind", "index", "order", "canonical", "edges", "connected",
 
 
 @lru_cache(maxsize=None)
-def _class_masks(n: int) -> tuple[int, ...]:
-    """Least edge mask of every isomorphism class of order n, ascending.
+def _classes(n: int) -> tuple[tuple[Graph, bytes], ...]:
+    """(representative, canonical form) of every isomorphism class of
+    order n, in ascending order of the representative's edge mask, which
+    is the least mask in its class.
 
     The pairs (0, j) are the n - 1 lowest mask bits and the remaining
     pairs follow in the order-(n - 1) pair order, so a mask is
@@ -53,16 +55,22 @@ def _class_masks(n: int) -> tuple[int, ...]:
     after deleting vertex 0.  A least mask minimizes ``high`` first, so
     that ``high`` is itself a least mask of order n - 1.  Trying every
     ``low`` on every such ``high`` in ascending order therefore meets
-    each class first at its least mask.
+    each class first at its least mask.  The candidate's rows come from
+    its parent's: vertex 0 is adjacent to vertex j iff bit j - 1 of
+    ``low`` is set, and vertex i + 1 is the parent's vertex i.
     """
     if n == 0:
-        return (0,)
-    least: dict[bytes, int] = {}
-    for high in _class_masks(n - 1):
+        g = Graph(0, ())
+        return ((g, canonical_form(g)),)
+    least: dict[bytes, Graph] = {}
+    for parent, _ in _classes(n - 1):
+        shifted = [row << 1 for row in parent.adjacency]
         for low in range(1 << (n - 1)):
-            mask = high << (n - 1) | low
-            least.setdefault(canonical_form(from_edge_mask(n, mask)), mask)
-    return tuple(least.values())
+            rows = [low << 1]
+            rows += [row | ((low >> i) & 1) for i, row in enumerate(shifted)]
+            g = Graph(n, tuple(rows))
+            least.setdefault(canonical_form(g), g)
+    return tuple((g, form) for form, g in least.items())
 
 
 def enumerate_graphs(n: int, dedup: bool = False,
@@ -78,9 +86,11 @@ def enumerate_graphs(n: int, dedup: bool = False,
     if n > cap:
         kind = "dedup" if dedup else "labeled"
         raise ValueError(f"{kind} enumeration is capped at order {cap}")
-    masks = _class_masks(n) if dedup else range(1 << (n * (n - 1) // 2))
-    for mask in masks:
-        g = from_edge_mask(n, mask)
+    if dedup:
+        graphs = (g for g, _ in _classes(n))
+    else:
+        graphs = (from_edge_mask(n, mask) for mask in range(1 << (n * (n - 1) // 2)))
+    for g in graphs:
         if connected_only and not connected(g):
             continue
         yield g
@@ -98,9 +108,10 @@ def random_graphs(order: int, count: int, seed: int) -> Iterator[Graph]:
         yield from_edge_mask(order, rng.next_bits(num_edges))
 
 
-def _row(g: Graph, kind: str, index: int | None = None) -> dict:
-    """One report record; audits run on every exhaustive row but only on
-    extremal sample rows (non-extremal samples carry nulls)."""
+def _row(g: Graph, form: bytes, kind: str, index: int | None = None) -> dict:
+    """One report record for g, whose canonical form is ``form``; audits
+    run on every exhaustive row but only on extremal sample rows
+    (non-extremal samples carry nulls)."""
     r2, roman = solve_both_cached(g)
     gap = roman.value - r2.value
     if gap < 0 or 2 * gap > r2.value:
@@ -111,7 +122,7 @@ def _row(g: Graph, kind: str, index: int | None = None) -> dict:
         "kind": kind,
         "index": index,
         "order": g.order,
-        "canonical": canonical_form(g).hex(),
+        "canonical": form.hex(),
         "edges": g.edge_count(),
         "connected": connected(g),
         "gamma_r2": r2.value,
@@ -181,11 +192,11 @@ def scan(max_order: int, sample: tuple[int, int, int] | None = None) -> GapRepor
             raise ValueError(f"sample count is capped to 0..{SAMPLE_COUNT_CAP}")
     rows = []
     for n in range(1, max_order + 1):
-        for g in enumerate_graphs(n, dedup=True):
-            rows.append(_row(g, "exhaustive"))
+        for g, form in _classes(n):
+            rows.append(_row(g, form, "exhaustive"))
     rows.sort(key=lambda r: r["canonical"])
     if sample is not None:
-        sample_rows = [_row(g, "sample", index=i)
+        sample_rows = [_row(g, canonical_form(g), "sample", index=i)
                        for i, g in enumerate(random_graphs(order, count, seed))]
         sample_rows.sort(key=lambda r: (r["canonical"], r["index"]))
         rows.extend(sample_rows)

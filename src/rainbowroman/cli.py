@@ -20,9 +20,9 @@ import sys
 
 from .catalog import scan
 from .constructions import add_c4, gap_instance, star_link
-from .domination import (VerificationError, all_min_2rdf, format_rainbow,
-                         format_roman, gamma_r2, gamma_roman, parse_rainbow,
-                         parse_roman)
+from .domination import (VerificationError, _all_min_at, _check_all_min_order,
+                         format_rainbow, format_roman, gamma_r2, gamma_roman,
+                         parse_rainbow, parse_roman)
 from .graph import Graph, connected, is_k4_free, parse_edge_list, serialize_edge_list
 from .hereditary import (PRESET_FAMILIES, find_induced_member,
                          hereditary_equality_direct,
@@ -56,22 +56,23 @@ def _emit(obj: dict) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    # first, so that its order cap is checked before anything is solved
-    all_min = all_min_2rdf(g) if args.all_min else None
+    if args.all_min:
+        _check_all_min_order(g)  # before anything is solved
+    want_r2 = args.param in ("r2", "both")
     out: dict = {}
-    r2 = gamma_r2(g) if args.param in ("r2", "both") else None
+    r2 = gamma_r2(g) if want_r2 or args.all_min else None
     roman = gamma_roman(g) if args.param in ("roman", "both") else None
-    if r2 is not None:
+    if want_r2:
         out["gamma_r2"] = r2.value
     if roman is not None:
         out["gamma_R"] = roman.value
     if args.witness:
-        if r2 is not None:
+        if want_r2:
             out["witness_r2"] = format_rainbow(r2.witness)
         if roman is not None:
             out["witness_roman"] = format_roman(roman.witness)
-    if all_min is not None:
-        out["all_min_2rdf"] = [format_rainbow(f) for f in all_min]
+    if args.all_min:
+        out["all_min_2rdf"] = [format_rainbow(f) for f in _all_min_at(g, r2.value)]
     _emit(out)
     return 0
 

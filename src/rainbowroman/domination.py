@@ -364,25 +364,46 @@ def gamma_roman(g: Graph) -> SolveResult:
     return _minimise(g, _ROMAN_LABELS, RomanAssignment)
 
 
+def _check_all_min_order(g: Graph, cap: int = ALL_MIN_ORDER_CAP) -> None:
+    """Refuse to enumerate minimum functions above order ``cap``; callers
+    check before they solve anything."""
+    if g.order > cap:
+        raise ValueError(f"minimum-function enumeration is capped at order {cap}")
+
+
+def _each_min_2rdf(g: Graph, value: int, visit: Callable[[list[int]], object]) -> None:
+    """Pass each minimum 2-rainbow function the search reaches to ``visit``.
+
+    ``value`` must be gamma_r2(g): :func:`_search` runs with it as a
+    fixed weight limit, so every assignment it reaches is optimal.  It
+    reaches one function of each color-swapped pair, the one whose first
+    singleton in branch order is {1}; so a reached function stands for
+    itself and its swap exactly when it holds a {1}.  ``visit`` gets the
+    live code list, in vertex order, and must copy it to keep it.
+    """
+    def leaf(codes: list[int], weight: int) -> int:
+        visit(codes)
+        return value
+
+    _search(g, _RAINBOW_LABELS, value, leaf)
+
+
+def _all_min_at(g: Graph, value: int) -> list[RainbowAssignment]:
+    """Every minimum 2-rainbow function, given ``value`` = gamma_r2(g), in
+    lexicographic order of the code vector under 0 < 1 < 2 < 3: the
+    reached functions plus the swap of each one that holds a {1}."""
+    found: list[tuple[int, ...]] = []
+    _each_min_2rdf(g, value, lambda codes: found.append(tuple(codes)))
+    found += [tuple(_SWAPPED[c] for c in codes) for codes in found if 1 in codes]
+    return [RainbowAssignment(codes) for codes in sorted(found)]
+
+
 def all_min_2rdf(g: Graph, cap: int = ALL_MIN_ORDER_CAP) -> list[RainbowAssignment]:
     """Every minimum-weight 2-rainbow dominating function.
 
     Complete and duplicate-free, in lexicographic order of the code
-    vector under 0 < 1 < 2 < 3.  :func:`_search` runs with the optimum
-    from :func:`gamma_r2` as a fixed weight limit, so every assignment it
-    reaches is optimal.  It reaches one function of each color-swapped
-    pair, the one whose first singleton in branch order is {1}; the swap
-    of each function with a singleton is added back, and all are sorted.
+    vector under 0 < 1 < 2 < 3, enumerated at the optimum from
+    :func:`gamma_r2`.
     """
-    if g.order > cap:
-        raise ValueError(f"minimum-function enumeration is capped at order {cap}")
-    target = gamma_r2(g).value
-    found: list[tuple[int, ...]] = []
-
-    def collect(codes: list[int], weight: int) -> int:
-        found.append(tuple(codes))
-        return target
-
-    _search(g, _RAINBOW_LABELS, target, collect)
-    found += [tuple(_SWAPPED[c] for c in codes) for codes in found if 1 in codes]
-    return [RainbowAssignment(codes) for codes in sorted(found)]
+    _check_all_min_order(g, cap)
+    return _all_min_at(g, gamma_r2(g).value)

@@ -15,13 +15,16 @@ vertices of code c the audited properties are
 
 The audit enumerates every minimum function and reports the five
 properties per function, so failures point at a concrete witness.
+Every property is symmetric in the two colors, so a function passes
+exactly when its color swap does.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .domination import RainbowAssignment, all_min_2rdf, format_rainbow
+from .domination import (RainbowAssignment, _all_min_at, _check_all_min_order,
+                         _each_min_2rdf, format_rainbow)
 from .graph import Graph, bits
 from .hereditary import solve_both_cached
 
@@ -100,20 +103,37 @@ def audit_function(g: Graph, f: RainbowAssignment) -> StructureAudit:
 
 
 def audit_extremal(g: Graph) -> list[StructureAudit]:
-    """Audit every minimum 2-rainbow function of an extremal graph.
+    """Audit every minimum 2-rainbow function of an extremal graph, in
+    lexicographic code order.
 
     Rejects non-extremal input outright so a missing precondition never
-    masquerades as a structural finding.
+    masquerades as a structural finding.  The functions are enumerated
+    at the gamma_r2 that :func:`is_extremal` memoized.
     """
     if not is_extremal(g):
         raise ValueError("graph is not extremal: 2*gamma_R != 3*gamma_r2")
-    return [audit_function(g, f) for f in all_min_2rdf(g)]
+    _check_all_min_order(g)
+    value = solve_both_cached(g)[0].value
+    return [audit_function(g, f) for f in _all_min_at(g, value)]
 
 
 def audit_summary(g: Graph) -> tuple[int, bool]:
     """(number of minimum functions, all of them pass) for any graph.
 
-    Auditing stops at the first minimum function that fails.
+    One search at the memoized gamma_r2 walks the minimum functions,
+    one of each color-swapped pair; a function holding a {1} counts
+    for itself and its swap, which passes exactly when it does.
+    Auditing stops at the first function that fails; counting does not.
     """
-    functions = all_min_2rdf(g)
-    return len(functions), all(audit_function(g, f).all_pass() for f in functions)
+    _check_all_min_order(g)
+    count = 0
+    all_pass = True
+
+    def visit(codes: list[int]) -> None:
+        nonlocal count, all_pass
+        count += 2 if 1 in codes else 1
+        if all_pass:
+            all_pass = audit_function(g, RainbowAssignment(tuple(codes))).all_pass()
+
+    _each_min_2rdf(g, solve_both_cached(g)[0].value, visit)
+    return count, all_pass

@@ -18,6 +18,7 @@ from rainbowroman.domination import (SOLVER_ORDER_CAP, RainbowAssignment,
                                      _greedy_cover_bound, all_min_2rdf)
 from rainbowroman.graph import (CANONICAL_ORDER_CAP, bits, edge_mask,
                                 from_edge_mask, induced_subgraph, mask_of)
+from rainbowroman.structure import audit_function
 
 PRODUCT_CHECK_ORDER_CAP = 20
 
@@ -328,3 +329,11 @@ def canonical_min_2rdf(g) -> RainbowAssignment:
 def rainbow_as_roman_codes(f: RainbowAssignment) -> tuple[int, ...]:
     """The {}->0, singleton->1, {1,2}->2 reading of a rainbow assignment."""
     return tuple(0 if c == 0 else 1 if c in (1, 2) else 2 for c in f.codes)
+
+
+def audit_summary_by_listing(g) -> tuple[int, bool]:
+    """``structure.audit_summary`` as it was before it walked the search:
+    list, sort and audit every minimum function, swaps included.  The
+    differential oracle for the one-search count and audit."""
+    functions = all_min_2rdf(g)
+    return len(functions), all(audit_function(g, f).all_pass() for f in functions)

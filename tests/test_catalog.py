@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from rainbowroman import catalog
 from rainbowroman.catalog import (CSV_COLUMNS, DEDUP_ORDER_CAP,
                                   LABELED_ORDER_CAP, SAMPLE_COUNT_CAP,
                                   SCAN_ORDER_CAP, enumerate_graphs,
@@ -51,6 +52,17 @@ class TestEnumerate:
             rep = reps[canonical_form(g)]
             assert edge_mask(rep, range(n)) <= edge_mask(g, range(n))
 
+    @pytest.mark.parametrize("n", sorted(CLASS_COUNTS))
+    def test_kept_form_is_the_canonical_form_of_the_rep(self, n):
+        for g, form in catalog._classes(n):
+            assert form == canonical_form(g)
+
+    def test_order_7_masks_pinned(self):
+        masks = ",".join(str(edge_mask(g, range(7)))
+                         for g in enumerate_graphs(7, dedup=True))
+        assert hashlib.sha256(masks.encode()).hexdigest() == \
+            "409cc39ac8b2a97b4cb375d79e3658bf2f447a0ea1f3fd5bc580ddb505f502ac"
+
     def test_caps_and_bad_order(self):
         with pytest.raises(ValueError, match="labeled.*capped"):
             next(enumerate_graphs(LABELED_ORDER_CAP + 1))
@@ -83,6 +95,21 @@ class TestRandomGraphs:
 
 
 class TestScan:
+    def test_one_canonical_form_per_candidate_and_sample(self, monkeypatch):
+        # order n tries every neighbourhood of a new vertex on each class
+        # of order n - 1; the order-0 graph is the one order-0 candidate
+        candidates = 1 + sum(CLASS_COUNTS[n - 1] << (n - 1) for n in range(1, 7))
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return canonical_form(g)
+
+        catalog._classes.cache_clear()
+        monkeypatch.setattr(catalog, "canonical_form", counting)
+        scan(6, sample=(10, 20, 4))
+        assert len(calls) == candidates + 20 == 1328
+
     def test_exhaustive_row_set(self):
         report = scan(4)
         assert len(report.rows) == 1 + 2 + 4 + 11

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -15,7 +16,8 @@ import pytest
 from rainbowroman import catalog, cli, domination, hereditary
 from rainbowroman.catalog import scan
 from rainbowroman.domination import is_2rainbow_dominating, parse_rainbow
-from rainbowroman.graph import parse_edge_list
+from rainbowroman.graph import (cycle_graph, disjoint_union, parse_edge_list,
+                                serialize_edge_list)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 C4 = str(FIXTURES / "c4.el")
@@ -37,6 +39,34 @@ def refuse_search(monkeypatch, module, name):
         raise AssertionError(f"{name} ran before a check")
 
     monkeypatch.setattr(module, name, search)
+
+
+def count_calls(monkeypatch, module, name):
+    """Record every call of ``module.name``, from whichever package module
+    binds it; returns the list of calls."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for m in list(sys.modules.values()):
+        if getattr(m, "__name__", "").startswith("rainbowroman"):
+            for attr, value in list(vars(m).items()):
+                if value is original:
+                    monkeypatch.setattr(m, attr, counted)
+    return calls
+
+
+def four_squares(tmp_path):
+    """Four disjoint C4s (order 16, 256 minimum functions) as an edge list."""
+    g = cycle_graph(4)
+    for _ in range(3):
+        g = disjoint_union(g, cycle_graph(4))
+    path = tmp_path / "four_squares.el"
+    path.write_text(serialize_edge_list(g))
+    return str(path)
 
 
 def edgeless(tmp_path, order):
@@ -82,6 +112,15 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["all_min_2rdf"] == \
             [".,1,.,2", ".,2,.,1", "1,.,2,.", "2,.,1,."]
+
+    def test_all_min_solves_gamma_r2_once(self, capsys, monkeypatch, tmp_path):
+        calls = count_calls(monkeypatch, domination, "gamma_r2")
+        code, out, _ = run(capsys, "solve", four_squares(tmp_path), "--all-min")
+        assert code == 0
+        assert len(calls) == 1
+        assert len(json.loads(out)["all_min_2rdf"]) == 256
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "4bf4f87d0dd7b3858f55021176b5725aa05101c55aae0a994ea1505bf06a362c"
 
     def test_all_min_cap_checked_before_solving(self, capsys, monkeypatch, tmp_path):
         refuse_search(monkeypatch, domination, "_search")
@@ -244,6 +283,16 @@ class TestStructure:
         assert len(payload["functions"]) == 4
         assert payload["functions"][2]["assignment"] == "1,.,2,."
         assert parse_edge_list(payload["graph"]).order == 4
+
+    def test_four_squares_solve_gamma_r2_once(self, capsys, monkeypatch, tmp_path):
+        hereditary._solved_by_mask.cache_clear()
+        calls = count_calls(monkeypatch, domination, "gamma_r2")
+        code, out, _ = run(capsys, "structure", four_squares(tmp_path))
+        assert code == 0
+        assert len(calls) == 1
+        assert len(json.loads(out)["functions"]) == 256
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "e93933453e3d516fd17cf984068899dcb60d2c6f31912d934d1468e61c6bfd67"
 
     def test_non_extremal(self, capsys):
         code, out, _ = run(capsys, "structure", P5)

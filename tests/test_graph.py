@@ -219,10 +219,21 @@ class TestOperations:
             assert is_k4_free(g) == (not has_k4_brute(g))
 
     def test_edge_mask_round_trip(self):
-        for g in all_labeled(4):
-            assert from_edge_mask(4, edge_mask(g, range(4))).adjacency == g.adjacency
+        for n in range(6):
+            for g in all_labeled(n):
+                mask = edge_mask(g, range(n))
+                assert from_edge_mask(n, mask) == g
+        rng = SplitMix64(23)
+        for _ in range(50):
+            mask = rng.next_bits(45)
+            g = from_edge_mask(10, mask)
+            assert edge_mask(g, range(10)) == mask
+            assert g == graph_from_edges(10, (pair for i, pair in enumerate(
+                itertools.combinations(range(10), 2)) if (mask >> i) & 1))
         with pytest.raises(ValueError, match="pair"):
             from_edge_mask(2, 0b10)
+        with pytest.raises(ValueError, match="pair"):
+            from_edge_mask(10, 1 << 45)
 
     def test_edge_mask_of_a_vertex_sequence(self):
         # a subset in ascending order packs its induced subgraph; a

@@ -8,11 +8,15 @@ from rainbowroman import structure
 from rainbowroman.catalog import enumerate_graphs
 from rainbowroman.domination import RainbowAssignment, all_min_2rdf
 from rainbowroman.graph import (bits, complete_graph, cycle_graph,
-                                disjoint_union, path_graph)
+                                disjoint_union, from_edge_mask, path_graph)
 from rainbowroman.hereditary import solve_both_cached
+from rainbowroman.rng import SplitMix64
 from rainbowroman.structure import (PROPERTY_KEYS, audit_extremal,
                                     audit_function, audit_summary,
                                     is_extremal)
+from rainbowroman.transfer import swap_colors
+
+from oracles import audit_summary_by_listing
 
 
 class TestIsExtremal:
@@ -114,6 +118,8 @@ class TestAuditExtremal:
         assert not all_pass
 
     def test_summary_stops_at_first_failure(self, monkeypatch):
+        # the walk audits in search order, one function of each swapped
+        # pair, so which failing function comes first is not pinned
         g = path_graph(6)
         audited = []
 
@@ -123,6 +129,36 @@ class TestAuditExtremal:
 
         monkeypatch.setattr(structure, "audit_function", counting)
         count, all_pass = audit_summary(g)
-        assert count == len(all_min_2rdf(g)) > 1
+        functions = all_min_2rdf(g)
+        assert count == len(functions) > 1
         assert not all_pass
-        assert audited == all_min_2rdf(g)[:1]
+        assert len(audited) == 1
+        assert audited[0] in functions
+
+
+class TestSummaryAgainstListing:
+    def test_every_class_to_order_7(self):
+        for n in range(8):
+            for g in enumerate_graphs(n, dedup=True):
+                assert audit_summary(g) == audit_summary_by_listing(g)
+
+    def test_unions_of_squares(self):
+        g = cycle_graph(4)
+        for t in range(1, 5):
+            assert audit_summary(g) == audit_summary_by_listing(g) == (4 ** t, True)
+            g = disjoint_union(g, cycle_graph(4))
+
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_seeded_random_graphs(self, n):
+        rng = SplitMix64(400 + n)
+        for _ in range(20):
+            g = from_edge_mask(n, rng.next_bits(n * (n - 1) // 2))
+            assert audit_summary(g) == audit_summary_by_listing(g)
+
+    def test_swap_passes_exactly_when_the_function_does(self):
+        # why auditing one function of each swapped pair is enough
+        for n in range(1, 7):
+            for g in enumerate_graphs(n, dedup=True):
+                for f in all_min_2rdf(g):
+                    assert audit_function(g, f).all_pass() == \
+                        audit_function(g, swap_colors(f)).all_pass()
