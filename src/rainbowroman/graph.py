@@ -308,22 +308,11 @@ def edge_mask(g: Graph, vertices: Sequence[int]) -> int:
 
 
 def from_edge_mask(n: int, mask: int) -> Graph:
-    """Inverse of :func:`edge_mask` over ``range(n)``.
-
-    The pairs (u, u + 1), ..., (u, n - 1) take the next n - 1 - u mask
-    bits, so each row is read off the mask in one slice.
-    """
-    if mask >> (n * (n - 1) // 2):
+    """Inverse of :func:`edge_mask` over ``range(n)``."""
+    pairs = list(itertools.combinations(range(n), 2))
+    if mask >> len(pairs):
         raise ValueError("edge mask references a pair >= C(n,2)")
-    rows = [0] * n
-    for u in range(n - 1):
-        width = n - 1 - u
-        above = mask & ((1 << width) - 1)
-        mask >>= width
-        rows[u] |= above << (u + 1)
-        for d in bits(above):
-            rows[u + 1 + d] |= 1 << u
-    return Graph(n, tuple(rows))
+    return graph_from_edges(n, (pairs[i] for i in bits(mask)))
 
 
 def canonical_form(g: Graph) -> bytes:

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .domination import (RainbowAssignment, _all_min_at, _check_all_min_order,
-                         _each_min_2rdf, format_rainbow)
+from .domination import (RainbowAssignment, _all_min_at, _each_min_2rdf,
+                         format_rainbow)
 from .graph import Graph, bits
 from .hereditary import solve_both_cached
 
@@ -112,7 +112,6 @@ def audit_extremal(g: Graph) -> list[StructureAudit]:
     """
     if not is_extremal(g):
         raise ValueError("graph is not extremal: 2*gamma_R != 3*gamma_r2")
-    _check_all_min_order(g)
     value = solve_both_cached(g)[0].value
     return [audit_function(g, f) for f in _all_min_at(g, value)]
 
@@ -124,8 +123,11 @@ def audit_summary(g: Graph) -> tuple[int, bool]:
     one of each color-swapped pair; a function holding a {1} counts
     for itself and its swap, which passes exactly when it does.
     Auditing stops at the first function that fails; counting does not.
+
+    gamma_r2 is read from :func:`solve_both_cached`: on a graph not yet
+    in its memo, that solves both gamma_r2 and gamma_R and keeps them.
+    Raises ValueError above order 16, once the graph is solved.
     """
-    _check_all_min_order(g)
     count = 0
     all_pass = True
 

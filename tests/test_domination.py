@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from rainbowroman import domination
 from rainbowroman.constructions import add_c4, star_link
 from rainbowroman.domination import (ALL_MIN_ORDER_CAP, SOLVER_ORDER_CAP,
                                      RainbowAssignment, RomanAssignment,
@@ -16,7 +17,7 @@ from rainbowroman.domination import (ALL_MIN_ORDER_CAP, SOLVER_ORDER_CAP,
                                      parse_roman)
 from rainbowroman.graph import (complete_graph, cycle_graph, empty_graph,
                                 from_edge_mask, graph_from_edges, path_graph,
-                                relabel)
+                                relabel, star_graph)
 from rainbowroman.rng import SplitMix64
 
 from oracles import (PRODUCT_CHECK_ORDER_CAP, RAINBOW_BRANCH_ORDER,
@@ -230,6 +231,12 @@ class TestCaps:
     def test_all_min_cap(self):
         with pytest.raises(ValueError, match="capped"):
             all_min_2rdf(empty_graph(ALL_MIN_ORDER_CAP + 1))
+        # the walk checks the cap itself, so a raised cap reaches it
+        star = star_graph(ALL_MIN_ORDER_CAP)
+        with pytest.raises(ValueError, match="capped at order 16"):
+            domination._each_min_2rdf(star, 2, lambda codes: None)
+        only = (3,) + (0,) * ALL_MIN_ORDER_CAP
+        assert [f.codes for f in all_min_2rdf(star, ALL_MIN_ORDER_CAP + 1)] == [only]
 
     def test_product_check_cap(self):
         with pytest.raises(ValueError, match="capped"):

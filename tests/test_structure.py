@@ -8,7 +8,8 @@ from rainbowroman import structure
 from rainbowroman.catalog import enumerate_graphs
 from rainbowroman.domination import RainbowAssignment, all_min_2rdf
 from rainbowroman.graph import (bits, complete_graph, cycle_graph,
-                                disjoint_union, from_edge_mask, path_graph)
+                                disjoint_union, from_edge_mask, path_graph,
+                                star_graph)
 from rainbowroman.hereditary import solve_both_cached
 from rainbowroman.rng import SplitMix64
 from rainbowroman.structure import (PROPERTY_KEYS, audit_extremal,
@@ -111,6 +112,10 @@ class TestAuditExtremal:
                 assert count == len(audit_extremal(g))
                 assert all_pass
         assert found > 1
+
+    def test_summary_cap(self):
+        with pytest.raises(ValueError, match="capped at order 16"):
+            audit_summary(star_graph(16))
 
     def test_summary_on_non_extremal(self):
         count, all_pass = audit_summary(complete_graph(1))
