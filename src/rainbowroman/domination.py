@@ -12,11 +12,13 @@ only its own vertex, and the Roman 0 is the empty set.  So one
 depth-first branch and bound, :func:`_search`, runs over a label table
 of ``(code, weight, shows)`` triples: the rainbow table for
 :func:`gamma_r2` and :func:`all_min_2rdf`, the Roman table for
-:func:`gamma_roman`.  The two minimizers share one driver and return
-the optimum with a deterministic witness, the first optimal assignment
-in the kernel's fixed branch order; the enumeration of every minimum
-2-rainbow function differs only in what it does with each complete
-assignment.
+:func:`gamma_roman`.  The two minimizers share one driver, which
+deepens the search's weight limit from its root lower bound until the
+first complete assignment appears; that assignment is the optimum's
+deterministic witness, the first optimal assignment in the kernel's
+fixed branch order.  The enumeration of every minimum 2-rainbow function
+runs the same search at the optimum and differs only in what it does
+with each complete assignment.
 
 Rainbow codes are packed as ints: 0 = {}, 1 = {1}, 2 = {2}, 3 = {1, 2}.
 """
@@ -234,22 +236,18 @@ def _ratio_bound(offers: list[tuple[int, list[int]]], undecided: int,
     return math.ceil(total - 1e-9)
 
 
-def _greedy_cover_bound(g: Graph) -> int:
-    """Weight of a quick valid function: min(all-ones, 2 * greedy dominating set)."""
-    n = g.order
-    closed = [g.adjacency[v] | (1 << v) for v in range(n)]
-    uncovered = (1 << n) - 1
-    picks = 0
-    while uncovered:
-        best_v = min(range(n), key=lambda v: (-(closed[v] & uncovered).bit_count(), v))
-        uncovered &= ~closed[best_v]
-        picks += 1
-    return min(n, 2 * picks)
+_Leaf = Callable[[list[int], int], int]
 
 
-def _search(g: Graph, labels: tuple[tuple[int, int, int], ...], limit: int,
-            leaf: Callable[[list[int], int], int]) -> int:
-    """The depth-first branch and bound; returns the nodes explored.
+def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
+            ) -> tuple[int, Callable[[int, _Leaf], int]]:
+    """Set up the depth-first branch and bound for one graph and table.
+
+    Returns ``(root, run)``.  ``root`` is the larger of the two bounds
+    below with nothing decided, an admissible lower bound on the optimum.
+    ``run(limit, leaf)`` runs the search and returns the nodes explored;
+    it may be called any number of times, at any limits, on the one
+    set-up.
 
     ``labels`` holds ``(code, weight, shows)`` triples in branch order,
     ``shows`` being the color bits a label shows to its neighbours; code
@@ -260,8 +258,9 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...], limit: int,
     when either bound finds an empty vertex that can no longer be
     dominated.  Every complete assignment reached is a dominating
     function of weight at most ``limit``; it goes to ``leaf(codes,
-    weight)``, which returns the limit for the rest of the search.
-    ``codes`` is the live list, so a leaf that keeps it must copy it.
+    weight)``, which returns the limit for the rest of the search, -1 to
+    stop it.  ``codes`` is the live list, so a leaf that keeps it must
+    copy it.
 
     Swapping colors 1 and 2 maps a 2-rainbow dominating function to one
     of the same weight, so the search reaches one function of each such
@@ -287,58 +286,78 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...], limit: int,
               for code, weight, shows in labels if code]
     # the labels allowed before any label showing color 1 alone is placed
     opening = tuple(label for label in labels if label[2] != 2)
+    everyone = (1 << n) - 1
+    every_demand = everyone | everyone << n
+    # with every vertex undecided each demand has its own rung as supplier,
+    # so neither bound is None here
+    root = max(_prism_bound(n, scan, every_demand, everyone),
+               _ratio_bound(offers, everyone, every_demand))
     codes = [0] * n
-    nodes = 0
 
-    def descend(depth: int, weight: int, undecided: int, empties: int,
-                shown: int, opened: bool) -> None:
-        nonlocal limit, nodes
-        if depth == n:
-            limit = leaf(codes, weight)
-            return
-        v = branch[depth]
-        remaining = undecided & ~(1 << v)
-        for code, cost, shows in labels if opened else opening:
-            w = weight + cost
-            if w > limit:
-                continue
-            nodes += 1
-            codes[v] = code
-            now_empty = empties if code else empties | (1 << v)
-            now_shown = shown | shown_to[v][shows]
-            pending = remaining | now_empty
-            demand = (pending | pending << n) & ~now_shown
-            if demand:
-                bound = _prism_bound(n, scan, demand, remaining)
-                if bound is None or w + bound > limit:
-                    continue
-                bound = _ratio_bound(offers, remaining, demand)
-                if bound is None or w + bound > limit:
-                    continue
-            descend(depth + 1, w, remaining, now_empty, now_shown,
-                    opened or shows == 1)
+    def run(limit: int, leaf: _Leaf) -> int:
+        nodes = 0
 
-    descend(0, 0, (1 << n) - 1, 0, 0, False)
-    return nodes
+        def descend(depth: int, weight: int, undecided: int, empties: int,
+                    shown: int, opened: bool) -> None:
+            nonlocal limit, nodes
+            if depth == n:
+                limit = leaf(codes, weight)
+                return
+            v = branch[depth]
+            remaining = undecided & ~(1 << v)
+            for code, cost, shows in labels if opened else opening:
+                w = weight + cost
+                if w > limit:
+                    continue
+                nodes += 1
+                codes[v] = code
+                now_empty = empties if code else empties | (1 << v)
+                now_shown = shown | shown_to[v][shows]
+                pending = remaining | now_empty
+                demand = (pending | pending << n) & ~now_shown
+                if demand:
+                    bound = _prism_bound(n, scan, demand, remaining)
+                    if bound is None or w + bound > limit:
+                        continue
+                    bound = _ratio_bound(offers, remaining, demand)
+                    if bound is None or w + bound > limit:
+                        continue
+                descend(depth + 1, w, remaining, now_empty, now_shown,
+                        opened or shows == 1)
+
+        descend(0, 0, everyone, 0, 0, False)
+        return nodes
+
+    return root, run
 
 
 def _minimise(g: Graph, labels: tuple[tuple[int, int, int], ...],
               witness: type[RainbowAssignment] | type[RomanAssignment]) -> SolveResult:
-    """Run :func:`_search` from the weight of a greedy valid function.
+    """Run :func:`_search` at limits root, root + 1, ... until a leaf is reached.
 
-    Each assignment found becomes the incumbent and lowers the limit to
-    one below its weight, so the last one found is the first optimum in
-    the search's branch order.
+    This is iterative deepening (Korf, "Depth-first iterative-deepening:
+    an optimal admissible tree search", Artificial Intelligence 27, 1985)
+    from the search's root bound.  Below the optimum no leaf exists.  At
+    the optimum the admissible bounds never cut an optimal leaf, so the
+    first leaf reached is the first optimum in branch order, and the leaf
+    stops the search there.  ``nodes`` sums the nodes of every pass.
     """
     if g.order > SOLVER_ORDER_CAP:
         raise ValueError(f"solver is capped at order {SOLVER_ORDER_CAP}")
+    limit, run = _search(g, labels)
     best: list[int] = []
+    reached = False  # the order-0 graph's one leaf leaves ``best`` empty
 
     def record(codes: list[int], weight: int) -> int:
+        nonlocal reached
         best[:] = codes
-        return weight - 1
+        reached = True
+        return -1
 
-    nodes = _search(g, labels, _greedy_cover_bound(g), record)
+    nodes = run(limit, record)
+    while not reached:
+        limit += 1
+        nodes += run(limit, record)
     found = witness(tuple(best))
     return SolveResult(found.weight(), found, nodes)
 
@@ -391,7 +410,8 @@ def _each_min_2rdf(g: Graph, value: int, visit: Callable[[list[int]], object],
         visit(codes)
         return value
 
-    _search(g, _RAINBOW_LABELS, value, leaf)
+    _, run = _search(g, _RAINBOW_LABELS)
+    run(value, leaf)
 
 
 def _all_min_at(g: Graph, value: int, cap: int = ALL_MIN_ORDER_CAP) -> list[RainbowAssignment]:

@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+from rainbowroman import domination
 from rainbowroman.domination import (SOLVER_ORDER_CAP, RainbowAssignment,
-                                     RomanAssignment, SolveResult,
-                                     _greedy_cover_bound, all_min_2rdf)
+                                     RomanAssignment, SolveResult, all_min_2rdf)
 from rainbowroman.graph import (CANONICAL_ORDER_CAP, bits, edge_mask,
                                 from_edge_mask, induced_subgraph, mask_of)
 from rainbowroman.structure import audit_function
@@ -112,6 +112,43 @@ def gamma_r2_product_check(g) -> int:
             if covered == full:
                 return k
     raise AssertionError("unreachable: the full vertex set always dominates")
+
+
+def _greedy_cover_bound(g) -> int:
+    """Weight of a quick valid function: min(all-ones, 2 * greedy dominating set)."""
+    n = g.order
+    closed = [g.adjacency[v] | (1 << v) for v in range(n)]
+    uncovered = (1 << n) - 1
+    picks = 0
+    while uncovered:
+        best_v = min(range(n), key=lambda v: (-(closed[v] & uncovered).bit_count(), v))
+        uncovered &= ~closed[best_v]
+        picks += 1
+    return min(n, 2 * picks)
+
+
+def minimise_descending(g, labels) -> SolveResult:
+    """Minimise over ``labels`` by descending incumbents, as the solvers did
+    before they deepened from the root bound.
+
+    One pass of ``domination._search`` starts at the weight of a greedy
+    valid function; each assignment found becomes the incumbent and lowers
+    the limit to one below its weight, so the last one found is the first
+    optimum in branch order.  The differential oracle for ``gamma_r2``
+    (``labels`` = ``domination._RAINBOW_LABELS``) and ``gamma_roman``
+    (``domination._ROMAN_LABELS``).
+    """
+    best: list[int] = []
+
+    def record(codes, weight):
+        best[:] = codes
+        return weight - 1
+
+    _, run = domination._search(g, labels)
+    nodes = run(_greedy_cover_bound(g), record)
+    witness = RainbowAssignment if labels == domination._RAINBOW_LABELS else RomanAssignment
+    found = witness(tuple(best))
+    return SolveResult(found.weight(), found, nodes)
 
 
 def gamma_roman_subsets(g) -> SolveResult:
