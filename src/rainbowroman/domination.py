@@ -12,7 +12,7 @@ only its own vertex, and the Roman 0 is the empty set.  So one
 depth-first branch and bound, :func:`_search`, runs over a label table
 of ``(code, weight, shows)`` triples: the rainbow table for
 :func:`gamma_r2` and :func:`all_min_2rdf`, the Roman table for
-:func:`gamma_roman`.  The two minimizers share one driver, which
+:func:`gamma_roman`.  The two minimizers share one loop, which
 deepens the search's weight limit from its root lower bound until the
 first complete assignment appears; that assignment is the optimum's
 deterministic witness, the first optimal assignment in the kernel's

@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from rainbowroman import domination
+from rainbowroman.catalog import enumerate_graphs
 from rainbowroman.constructions import add_c4, star_link
 from rainbowroman.domination import (ALL_MIN_ORDER_CAP, SOLVER_ORDER_CAP,
                                      RainbowAssignment, RomanAssignment,
@@ -18,13 +19,18 @@ from rainbowroman.domination import (ALL_MIN_ORDER_CAP, SOLVER_ORDER_CAP,
 from rainbowroman.graph import (complete_graph, cycle_graph, empty_graph,
                                 from_edge_mask, graph_from_edges, path_graph,
                                 relabel, star_graph)
+from rainbowroman.reduction import build_reduction, random_formula
 from rainbowroman.rng import SplitMix64
 
 from oracles import (PRODUCT_CHECK_ORDER_CAP, RAINBOW_BRANCH_ORDER,
                      ROMAN_BRANCH_ORDER, first_optimum, gamma_r2_product_check,
-                     gamma_roman_subsets, naive_gamma_r2, naive_gamma_roman,
-                     naive_min_2rdfs, rainbow_valid, rainbow_weight,
-                     roman_valid)
+                     gamma_roman_subsets, minimise_descending, naive_gamma_r2,
+                     naive_gamma_roman, naive_min_2rdfs, rainbow_valid,
+                     rainbow_weight, roman_valid)
+from test_reduction import GADGET_FORMULAS
+
+TABLES = {"rainbow": (domination._RAINBOW_LABELS, gamma_r2),
+          "roman": (domination._ROMAN_LABELS, gamma_roman)}
 
 
 def all_labeled(n):
@@ -44,6 +50,23 @@ def random_permutation(rng, n):
         j = rng.next_below(i + 1)
         perm[i], perm[j] = perm[j], perm[i]
     return perm
+
+
+def gap_graph(k):
+    """``constructions.gap_instance(k)`` without its re-solve: k C4s on a star link."""
+    g = complete_graph(1)
+    for _ in range(k):
+        g = add_c4(g)
+    return star_link(g) if k else g
+
+
+def density_graphs(rng, count, orders):
+    """``count`` graphs at each edge density 15%, 30% and 50%, cycling through ``orders``."""
+    for percent in (15, 30, 50):
+        for i in range(count):
+            n = orders[i % len(orders)]
+            yield graph_from_edges(n, (p for p in itertools.combinations(range(n), 2)
+                                       if rng.next_below(100) < percent))
 
 
 class TestAssignments:
@@ -195,6 +218,80 @@ class TestRomanOracle:
             assert res.value == gamma_roman_subsets(g).value
             assert is_roman_dominating(g, res.witness)
             assert res.witness.weight() == res.value
+
+
+def relabelled_cycles():
+    rng = SplitMix64(2008)
+    return [relabel(cycle_graph(n), random_permutation(rng, n)) for n in range(20, 33)]
+
+
+def classes_to_order_7():
+    return [g for n in range(8) for g in enumerate_graphs(n, dedup=True)]
+
+
+def paths_and_cycles():
+    return [path_graph(n) for n in range(1, 65)] + [cycle_graph(n) for n in range(3, 65)]
+
+
+def gadgets():
+    formulas = GADGET_FORMULAS + [random_formula(3, 4, seed=s) for s in (1, 2, 3)]
+    return [build_reduction(f).graph for f in formulas]
+
+
+DESCENDING_CORPORA = {
+    "relabelled-cycles": relabelled_cycles,
+    "gap-0-to-6": lambda: [gap_graph(k) for k in range(7)],
+    "classes-to-order-7": classes_to_order_7,
+    "paths-and-cycles": paths_and_cycles,
+    "random-10-to-24": lambda: list(density_graphs(SplitMix64(1985), 20, range(10, 25))),
+    "gadgets": gadgets,
+}
+
+
+class TestDeepening:
+    """The solvers deepen their limit from the search's root bound; the
+    descending-incumbent search they replaced is the oracle."""
+
+    @pytest.mark.parametrize("table", TABLES)
+    @pytest.mark.parametrize("corpus", DESCENDING_CORPORA)
+    def test_matches_descending_search(self, corpus, table):
+        labels, solve = TABLES[table]
+        for g in DESCENDING_CORPORA[corpus]():
+            got, want = solve(g), minimise_descending(g, labels)
+            assert (got.value, got.witness) == (want.value, want.witness)
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_root_bound_is_admissible(self, table):
+        # a root bound above the optimum would be returned as the value
+        labels, _ = TABLES[table]
+        graphs = classes_to_order_7() + list(density_graphs(SplitMix64(1986), 10, range(8, 21)))
+        for g in graphs:
+            root, _ = domination._search(g, labels)
+            assert root <= minimise_descending(g, labels).value
+
+    @pytest.mark.parametrize("g,value,codes,nodes", [
+        (empty_graph(0), 0, (), 0),  # its one leaf is the empty assignment
+        (complete_graph(1), 1, (1,), 1),
+        # each vertex but the last first tries the label of weight 2, which
+        # the bound cuts
+        (empty_graph(10), 10, (1,) * 10, 19),
+    ], ids=["order-0", "K1", "edgeless-10"])
+    @pytest.mark.parametrize("table", TABLES)
+    def test_edge_cases(self, g, value, codes, nodes, table):
+        res = TABLES[table][1](g)
+        assert res.value == value
+        assert res.witness == (RainbowAssignment(codes) if table == "rainbow"
+                               else RomanAssignment(codes))
+        assert res.nodes == nodes
+
+    @pytest.mark.parametrize("g,ceiling", [
+        # the descending search took 2,815, 3,032 and 2,265 nodes
+        (path_graph(64), 400),
+        (cycle_graph(64), 400),
+        (gap_graph(8), 300),
+    ], ids=["P64", "C64", "gap-8"])
+    def test_rainbow_node_ceilings(self, g, ceiling):
+        assert gamma_r2(g).nodes <= ceiling
 
 
 class TestAllMin:
