@@ -5,53 +5,75 @@ two kinds of dominating function, the satisfiability gadget tying their
 gap to 3-CNF satisfiability, forbidden-family recognizers with direct
 hereditary cross-checks, the structural audit of extremal graphs, the
 gap-shifting constructions, and a deterministic small-graph scan.
+
+Submodules load on first use.  Importing the package places each of them
+in ``sys.modules`` unexecuted (``importlib.util.LazyLoader``); a submodule
+runs when one of its attributes is first read, and a public name such as
+``rainbowroman.gamma_r2`` is resolved from its submodule when asked for.
+So a command that needs only the solver never runs the catalogue, the
+recognizers or the reduction.  ``cli`` is not registered, so that
+``python -m rainbowroman.cli`` runs it as a fresh ``__main__``.
 """
 
-from .catalog import GapReport, enumerate_graphs, random_graphs, scan
-from .constructions import add_c4, gap_instance, star_link
-from .domination import (RainbowAssignment, RomanAssignment, SolveResult,
-                         VerificationError, all_min_2rdf, format_rainbow,
-                         format_roman, gamma_r2, gamma_roman,
-                         is_2rainbow_dominating, is_roman_dominating,
-                         parse_rainbow, parse_roman)
-from .graph import (EdgeListError, Graph, canonical_form, complete_graph,
-                    components, connected, cycle_graph, diamond_graph,
-                    disjoint_union, empty_graph, graph_from_edges,
-                    induced_subgraph, is_k4_free, make_named, parse_edge_list,
-                    path_graph, relabel, serialize_edge_list, star_graph)
-from .hereditary import (EQUALITY_FAMILY, PRESET_FAMILIES,
-                         THREE_HALVES_FAMILY, find_induced_member,
-                         has_induced, hereditary_equality_direct,
-                         hereditary_three_halves_direct, is_free)
-from .reduction import (CnfFormula, DimacsError, ReductionGraph,
-                        ReductionReport, build_reduction, extract_assignment,
-                        format_dimacs, parse_dimacs, random_formula,
-                        sat_brute_force, verify_reduction)
-from .rng import SplitMix64
-from .structure import (StructureAudit, audit_extremal, audit_function,
-                        audit_summary, is_extremal)
-from .transfer import rainbow_to_roman, roman_to_rainbow, swap_colors
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CnfFormula", "DimacsError", "EQUALITY_FAMILY", "EdgeListError",
-    "GapReport", "Graph", "PRESET_FAMILIES", "RainbowAssignment",
-    "ReductionGraph", "ReductionReport", "RomanAssignment", "SolveResult",
-    "SplitMix64", "StructureAudit", "THREE_HALVES_FAMILY",
-    "VerificationError", "add_c4", "all_min_2rdf", "audit_extremal",
-    "audit_function", "audit_summary", "build_reduction", "canonical_form",
-    "complete_graph", "components", "connected",
-    "cycle_graph", "diamond_graph", "disjoint_union", "empty_graph",
-    "enumerate_graphs", "extract_assignment", "find_induced_member",
-    "format_dimacs", "format_rainbow", "format_roman", "gamma_r2",
-    "gamma_roman", "gap_instance",
-    "graph_from_edges", "has_induced", "hereditary_equality_direct",
-    "hereditary_three_halves_direct", "induced_subgraph",
-    "is_2rainbow_dominating", "is_extremal", "is_free", "is_k4_free",
-    "is_roman_dominating", "make_named", "parse_dimacs", "parse_edge_list",
-    "parse_rainbow", "parse_roman", "path_graph", "rainbow_to_roman",
-    "random_formula", "random_graphs", "relabel", "roman_to_rainbow",
-    "sat_brute_force", "scan", "serialize_edge_list", "star_graph",
-    "star_link", "swap_colors", "verify_reduction",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "catalog": ("GapReport", "enumerate_graphs", "random_graphs", "scan"),
+    "constructions": ("add_c4", "gap_instance", "star_link"),
+    "domination": ("RainbowAssignment", "RomanAssignment", "SolveResult",
+                   "VerificationError", "all_min_2rdf", "format_rainbow",
+                   "format_roman", "gamma_r2", "gamma_roman",
+                   "is_2rainbow_dominating", "is_roman_dominating",
+                   "parse_rainbow", "parse_roman"),
+    "graph": ("EdgeListError", "Graph", "canonical_form", "complete_graph",
+              "components", "connected", "cycle_graph", "diamond_graph",
+              "disjoint_union", "empty_graph", "graph_from_edges",
+              "induced_subgraph", "is_k4_free", "make_named",
+              "parse_edge_list", "path_graph", "relabel",
+              "serialize_edge_list", "star_graph"),
+    "hereditary": ("EQUALITY_FAMILY", "PRESET_FAMILIES", "THREE_HALVES_FAMILY",
+                   "find_induced_member", "has_induced",
+                   "hereditary_equality_direct",
+                   "hereditary_three_halves_direct", "is_free"),
+    "record": (),
+    "reduction": ("CnfFormula", "DimacsError", "ReductionGraph",
+                  "ReductionReport", "build_reduction", "extract_assignment",
+                  "format_dimacs", "parse_dimacs", "random_formula",
+                  "sat_brute_force", "verify_reduction"),
+    "rng": ("SplitMix64",),
+    "structure": ("StructureAudit", "audit_extremal", "audit_function",
+                  "audit_summary", "is_extremal"),
+    "transfer": ("rainbow_to_roman", "roman_to_rainbow", "swap_colors"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def _register(module: str):
+    """Place a submodule in ``sys.modules`` and bind it here, unexecuted."""
+    spec = importlib.util.find_spec(f"{__name__}.{module}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    lazy = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = lazy
+    spec.loader.exec_module(lazy)
+    return lazy
+
+
+for _module in _EXPORTS:
+    globals()[_module] = _register(_module)
+del _module
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(globals()[_HOME[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _HOME.keys())

@@ -18,18 +18,11 @@ import argparse
 import json
 import sys
 
-from .catalog import scan
-from .constructions import add_c4, gap_instance, star_link
+from . import catalog, constructions, hereditary, reduction, structure, transfer
 from .domination import (VerificationError, _all_min_at, _check_all_min_order,
                          format_rainbow, format_roman, gamma_r2, gamma_roman,
                          parse_rainbow, parse_roman)
 from .graph import Graph, connected, is_k4_free, parse_edge_list, serialize_edge_list
-from .hereditary import (PRESET_FAMILIES, find_induced_member,
-                         hereditary_equality_direct,
-                         hereditary_three_halves_direct, solve_both_cached)
-from .reduction import build_reduction, parse_dimacs, verify_reduction
-from .structure import audit_extremal
-from .transfer import rainbow_to_roman, roman_to_rainbow
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,23 +73,23 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_convert(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     if args.direction == "roman-to-r2":
-        conv = roman_to_rainbow(g, parse_roman(args.assignment))
+        conv = transfer.roman_to_rainbow(g, parse_roman(args.assignment))
         out = {"assignment": format_rainbow(conv), "weight": conv.weight()}
     else:
-        conv = rainbow_to_roman(g, parse_rainbow(args.assignment))
+        conv = transfer.rainbow_to_roman(g, parse_rainbow(args.assignment))
         out = {"assignment": format_roman(conv), "weight": conv.weight()}
     _emit(out)
     return 0
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    formula = parse_dimacs(_read(args.cnf))
-    reduction = build_reduction(formula)
+    formula = reduction.parse_dimacs(_read(args.cnf))
+    gadget = reduction.build_reduction(formula)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(serialize_edge_list(reduction.graph))
+            handle.write(serialize_edge_list(gadget.graph))
     if args.check:
-        report = verify_reduction(formula)
+        report = reduction.verify_reduction(formula)
         _emit({
             "gamma_r2": report.gamma_r2,
             "gamma_R": report.gamma_roman,
@@ -107,8 +100,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     _emit({
         "n": formula.num_vars,
         "m": formula.num_clauses,
-        "order": reduction.graph.order,
-        "edges": reduction.graph.edge_count(),
+        "order": gadget.graph.order,
+        "edges": gadget.graph.edge_count(),
     })
     return 0
 
@@ -116,11 +109,12 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _cmd_recognize(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     selector = args.family
-    preset = selector[0] if len(selector) == 1 and selector[0] in PRESET_FAMILIES else None
+    presets = hereditary.PRESET_FAMILIES
+    preset = selector[0] if len(selector) == 1 and selector[0] in presets else None
     if preset is not None:
-        family = PRESET_FAMILIES[preset]
+        family = presets[preset]
     else:
-        if any(s in PRESET_FAMILIES for s in selector):
+        if any(s in presets for s in selector):
             raise ValueError("preset families cannot be mixed with files")
         family = tuple((path, _load_graph(path)) for path in selector)
     if args.hereditary_direct and preset is None:
@@ -137,12 +131,12 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
     direct: dict = {}
     if args.hereditary_direct:
         if preset == "theorem2":
-            direct["hereditary_direct"] = hereditary_equality_direct(g)
+            direct["hereditary_direct"] = hereditary.hereditary_equality_direct(g)
         else:
             k = 3 if args.gk is None else args.gk
             direct["gk"] = k
-            direct["hereditary_direct"] = hereditary_three_halves_direct(g, k)
-    witness = find_induced_member(g, family)
+            direct["hereditary_direct"] = hereditary.hereditary_three_halves_direct(g, k)
+    witness = hereditary.find_induced_member(g, family)
     out: dict = {"free": witness is None, "witness": witness, **direct}
     # theorem2's equivalence always applies; theorem3's only at threshold 3
     if direct and direct.get("gk", 3) == 3:
@@ -153,7 +147,7 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
 
 def _cmd_structure(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    r2, roman = solve_both_cached(g)
+    r2, roman = hereditary.solve_both_cached(g)
     extremal = 2 * roman.value == 3 * r2.value
     out: dict = {
         "graph": serialize_edge_list(g),
@@ -165,7 +159,7 @@ def _cmd_structure(args: argparse.Namespace) -> int:
     }
     code = 0
     if extremal:
-        audits = audit_extremal(g)
+        audits = structure.audit_extremal(g)
         out["functions"] = [a.to_json_dict() for a in audits]
         if not all(a.all_pass() for a in audits):
             code = 2
@@ -179,7 +173,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             raise ValueError("--op gap-k requires --k")
         if args.graph is not None:
             raise ValueError("--op gap-k does not take a graph")
-        built = gap_instance(args.k)
+        built = constructions.gap_instance(args.k)
         _emit({
             "graph": serialize_edge_list(built),
             "order": built.order,
@@ -194,7 +188,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if args.k is not None:
         raise ValueError("--k only applies to --op gap-k")
     g = _load_graph(args.graph)
-    built = add_c4(g) if args.op == "add-c4" else star_link(g)
+    built = constructions.add_c4(g) if args.op == "add-c4" else constructions.star_link(g)
     # the larger graph first, so that the solver's order cap is checked
     # before anything is solved
     after = (gamma_r2(built).value, gamma_roman(built).value)
@@ -222,7 +216,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             raise ValueError("--sample expects ORDER,COUNT,SEED")
         order, count, seed = (int(p) for p in parts)
         sample = (order, count, seed)
-    report = scan(args.max_order, sample)
+    report = catalog.scan(args.max_order, sample)
     sys.stdout.write(report.to_csv() if args.format == "csv"
                      else report.to_jsonl())
     return 0

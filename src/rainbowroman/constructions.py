@@ -52,7 +52,7 @@ def gap_instance(k: int) -> Graph:
     a mismatch raises VerificationError because it can only mean a bug.
     """
     if k < 0 or k > GAP_INSTANCE_CAP:
-        raise ValueError(f"gap is capped at {GAP_INSTANCE_CAP}")
+        raise ValueError(f"gap is capped to 0..{GAP_INSTANCE_CAP}")
     if k == 0:
         return complete_graph(1)
     g = complete_graph(1)

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from rainbowroman import catalog, cli, domination, hereditary
+from rainbowroman import (catalog, cli, constructions, domination, hereditary,
+                          reduction, structure)
 from rainbowroman.catalog import scan
 from rainbowroman.domination import is_2rainbow_dominating, parse_rainbow
 from rainbowroman.graph import (cycle_graph, disjoint_union, parse_edge_list,
@@ -174,7 +175,7 @@ class TestReduce:
     def test_inconsistent_check_exits_2(self, capsys, monkeypatch):
         fake = types.SimpleNamespace(gamma_r2=4, gamma_roman=5,
                                      satisfiable=True, consistent=False)
-        monkeypatch.setattr(cli, "verify_reduction", lambda f: fake)
+        monkeypatch.setattr(reduction, "verify_reduction", lambda f: fake)
         code, out, _ = run(capsys, "reduce", UNSAT1, "--check")
         assert code == 2
         assert json.loads(out)["consistent"] is False
@@ -266,7 +267,7 @@ class TestRecognize:
         assert code == 1 and out == "" and "capped" in err
 
     def test_disagreement_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "hereditary_equality_direct", lambda g: True)
+        monkeypatch.setattr(hereditary, "hereditary_equality_direct", lambda g: True)
         code, out, _ = run(capsys, "recognize", C4, "--family", "theorem2",
                            "--hereditary-direct")
         assert code == 2
@@ -304,7 +305,7 @@ class TestStructure:
     def test_failed_audit_exits_2(self, capsys, monkeypatch):
         fake = types.SimpleNamespace(to_json_dict=lambda: {"assignment": "x"},
                                      all_pass=lambda: False)
-        monkeypatch.setattr(cli, "audit_extremal", lambda g: [fake])
+        monkeypatch.setattr(structure, "audit_extremal", lambda g: [fake])
         code, out, _ = run(capsys, "structure", C4)
         assert code == 2
 
@@ -354,13 +355,18 @@ class TestConstruct:
         assert code == 1 and out == ""
         assert "solver is capped at order 64" in err
 
+    @pytest.mark.parametrize("k", ("-1", "9"))
+    def test_gap_out_of_range(self, capsys, k):
+        code, out, err = run(capsys, "construct", "--op", "gap-k", "--k", k)
+        assert (code, out, err) == (1, "", "error: gap is capped to 0..8\n")
+
     def test_verification_failure_exits_2(self, capsys, monkeypatch):
         from rainbowroman.domination import VerificationError
 
         def boom(k):
             raise VerificationError("gap instance check failed")
 
-        monkeypatch.setattr(cli, "gap_instance", boom)
+        monkeypatch.setattr(constructions, "gap_instance", boom)
         code, out, err = run(capsys, "construct", "--op", "gap-k", "--k", "1")
         assert code == 2 and out == ""
         assert err.startswith("inconsistency:")
