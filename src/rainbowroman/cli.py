@@ -18,6 +18,8 @@ import argparse
 import json
 import sys
 
+# the package registers its submodules lazily: bound as modules, these
+# run only when a command calls into them, so `solve` never executes them
 from . import catalog, constructions, hereditary, reduction, structure, transfer
 from .domination import (VerificationError, _all_min_at, _check_all_min_order,
                          format_rainbow, format_roman, gamma_r2, gamma_roman,
