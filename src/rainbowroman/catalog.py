@@ -13,8 +13,10 @@ The scan solves both parameters over the deduplicated catalogue up to a
 requested order, plus an optional seeded random sample at a larger
 order, and emits one record per graph: the two parameters, their gap,
 membership in the two named forbidden families, extremality, and the
-minimum-function audit.  Reports are deterministic down to the byte for
-fixed arguments.
+minimum-function audit.  A disconnected class's exhaustive record is
+composed from the records of its components, smaller classes scanned
+before it.  Reports are deterministic down to the byte for fixed
+arguments.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .domination import VerificationError
-from .graph import (CANONICAL_ORDER_CAP, Graph, canonical_form, connected,
-                    from_edge_mask)
+from .graph import (CANONICAL_ORDER_CAP, Graph, bits, canonical_form,
+                    components, connected, edge_mask, from_edge_mask)
 from .hereditary import (EQUALITY_FAMILY, THREE_HALVES_FAMILY, is_free,
                          solve_both_cached)
 from .rng import SplitMix64
@@ -113,32 +116,75 @@ def _row(g: Graph, form: bytes, kind: str, index: int | None = None) -> dict:
     run on every exhaustive row but only on extremal sample rows
     (non-extremal samples carry nulls)."""
     r2, roman = solve_both_cached(g)
-    gap = roman.value - r2.value
-    if gap < 0 or 2 * gap > r2.value:
+    row = _record(g, form, kind, index, r2.value, roman.value, connected(g),
+                  is_free(g, EQUALITY_FAMILY))
+    if kind == "exhaustive" or row["extremal"]:
+        row["min_functions"], row["audit_all_pass"] = audit_summary(g)
+    return row
+
+
+def _composed_row(g: Graph, form: bytes, parts: list[int],
+                  rows: dict[tuple[int, int], dict]) -> dict:
+    """The exhaustive row of g, whose components ``parts`` (two or more)
+    have rows in ``rows``, keyed by (order, edge mask) of their classes'
+    representatives; the row equals :func:`_row`'s.
+
+    Each part is looked up by the edge mask of the subgraph it induces,
+    relabelled in ascending order, which is its class representative's
+    least mask.  Relabelling the vertices of one component among its own
+    positions changes only the mask bits of pairs inside it, and pairs
+    inside it keep their relative order under the ascending relabelling;
+    so if that subgraph's mask were not the least of its class, the
+    relabelling that makes it least would lower g's mask too, and g's is
+    the least of its class.
+
+    Both parameters and the edge count are sums over the components, and
+    the minimum 2-rainbow functions of g are the combinations of each
+    component's, so their number is the product of the counts.  P5, C5
+    and C4 are connected, so g is free of them when every component is;
+    K3bar and K2+K1 are not, so that check runs on g itself.
+
+    g's minimum functions all pass the audit exactly when every
+    component's do.  Properties (ii)-(v) and the emptiness of V_{1,2}
+    look only at a vertex and its neighbours, inside one component.  If
+    some component's minimum function has |V_1| - |V_2| = d != 0, then
+    combining it, and then its color swap, with one fixed choice on the
+    other components, whose |V_1| - |V_2| sum to D, gives totals D + d
+    and D - d, which cannot both be 0; so g has a function failing (i).
+    """
+    found = [rows[part.bit_count(), edge_mask(g, list(bits(part)))] for part in parts]
+    row = _record(g, form, "exhaustive", None,
+                  sum(r["gamma_r2"] for r in found), sum(r["gamma_R"] for r in found),
+                  False, all(r["theorem2_free"] for r in found))
+    row["min_functions"] = math.prod(r["min_functions"] for r in found)
+    row["audit_all_pass"] = all(r["audit_all_pass"] for r in found)
+    return row
+
+
+def _record(g: Graph, form: bytes, kind: str, index: int | None, r2: int,
+            roman: int, is_connected: bool, theorem2_free: bool) -> dict:
+    """A report record without its audit, after the sandwich check."""
+    gap = roman - r2
+    if gap < 0 or 2 * gap > r2:
         raise VerificationError(
-            f"sandwich bound violated: gamma_r2={r2.value} gamma_R={roman.value}")
-    extremal = 2 * roman.value == 3 * r2.value
-    row = {
+            f"sandwich bound violated: gamma_r2={r2} gamma_R={roman}")
+    extremal = 2 * roman == 3 * r2
+    return {
         "kind": kind,
         "index": index,
         "order": g.order,
         "canonical": form.hex(),
         "edges": g.edge_count(),
-        "connected": connected(g),
-        "gamma_r2": r2.value,
-        "gamma_R": roman.value,
+        "connected": is_connected,
+        "gamma_r2": r2,
+        "gamma_R": roman,
         "gap": gap,
-        "theorem2_free": is_free(g, EQUALITY_FAMILY),
+        "theorem2_free": theorem2_free,
         "theorem3_free": is_free(g, THREE_HALVES_FAMILY),
         "extremal": extremal,
         "min_functions": None,
         "audit_all_pass": None,
     }
-    if kind == "exhaustive" or extremal:
-        count, all_pass = audit_summary(g)
-        row["min_functions"] = count
-        row["audit_all_pass"] = all_pass
-    return row
 
 
 class GapReport(NamedTuple):
@@ -190,11 +236,16 @@ def scan(max_order: int, sample: tuple[int, int, int] | None = None) -> GapRepor
             raise ValueError(f"sample order is capped to 0..{CANONICAL_ORDER_CAP}")
         if not 0 <= count <= SAMPLE_COUNT_CAP:
             raise ValueError(f"sample count is capped to 0..{SAMPLE_COUNT_CAP}")
-    rows = []
+    # classes come in ascending order, so a disconnected class's components
+    # are smaller classes whose rows are already here
+    by_mask: dict[tuple[int, int], dict] = {}
     for n in range(1, max_order + 1):
         for g, form in _classes(n):
-            rows.append(_row(g, form, "exhaustive"))
-    rows.sort(key=lambda r: r["canonical"])
+            parts = components(g)
+            by_mask[n, edge_mask(g, range(n))] = (
+                _row(g, form, "exhaustive") if len(parts) == 1
+                else _composed_row(g, form, parts, by_mask))
+    rows = sorted(by_mask.values(), key=lambda r: r["canonical"])
     if sample is not None:
         sample_rows = [_row(g, canonical_form(g), "sample", index=i)
                        for i, g in enumerate(random_graphs(order, count, seed))]

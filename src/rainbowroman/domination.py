@@ -16,9 +16,11 @@ of ``(code, weight, shows)`` triples: the rainbow table for
 deepens the search's weight limit from its root lower bound until the
 first complete assignment appears; that assignment is the optimum's
 deterministic witness, the first optimal assignment in the kernel's
-fixed branch order.  The enumeration of every minimum 2-rainbow function
-runs the same search at the optimum and differs only in what it does
-with each complete assignment.
+fixed branch order.  A graph with two or more components that hold an
+edge is solved one component at a time, with the same witness.  The
+enumeration of every minimum 2-rainbow function runs the same search at
+the optimum and differs only in what it does with each complete
+assignment.
 
 Rainbow codes are packed as ints: 0 = {}, 1 = {1}, 2 = {2}, 3 = {1, 2}.
 """
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from .graph import MAX_ORDER, Graph, bits
+from .graph import MAX_ORDER, Graph, bits, components, induced_subgraph
 from .record import Record
 
 SOLVER_ORDER_CAP = MAX_ORDER
@@ -331,8 +333,7 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
     return root, run
 
 
-def _minimise(g: Graph, labels: tuple[tuple[int, int, int], ...],
-              witness: type[RainbowAssignment] | type[RomanAssignment]) -> SolveResult:
+def _deepen(g: Graph, labels: tuple[tuple[int, int, int], ...]) -> tuple[list[int], int]:
     """Run :func:`_search` at limits root, root + 1, ... until a leaf is reached.
 
     This is iterative deepening (Korf, "Depth-first iterative-deepening:
@@ -340,10 +341,9 @@ def _minimise(g: Graph, labels: tuple[tuple[int, int, int], ...],
     from the search's root bound.  Below the optimum no leaf exists.  At
     the optimum the admissible bounds never cut an optimal leaf, so the
     first leaf reached is the first optimum in branch order, and the leaf
-    stops the search there.  ``nodes`` sums the nodes of every pass.
+    stops the search there.  Returns its codes in vertex order and the
+    nodes of every pass.
     """
-    if g.order > SOLVER_ORDER_CAP:
-        raise ValueError(f"solver is capped at order {SOLVER_ORDER_CAP}")
     limit, run = _search(g, labels)
     best: list[int] = []
     reached = False  # the order-0 graph's one leaf leaves ``best`` empty
@@ -358,7 +358,49 @@ def _minimise(g: Graph, labels: tuple[tuple[int, int, int], ...],
     while not reached:
         limit += 1
         nodes += run(limit, record)
-    found = witness(tuple(best))
+    return best, nodes
+
+
+def _minimise(g: Graph, labels: tuple[tuple[int, int, int], ...],
+              witness: type[RainbowAssignment] | type[RomanAssignment]) -> SolveResult:
+    """The optimum and its witness, the first optimum in branch order.
+
+    Both parameters add up over connected components: a function is
+    dominating exactly when its restriction to each component is, so the
+    optima are the combinations of each component's optima.  When two or
+    more components hold an edge, each such component is deepened on its
+    own (:func:`_deepen` on its :func:`induced_subgraph`) and its codes
+    are put back at its vertices; each isolated vertex takes code 1, the
+    rainbow {1} or the Roman 1, the lightest label it can take and the
+    first of them in branch order.  The value is the sum, and ``nodes``
+    sums the component searches.  Any other graph, connected or one edge
+    component plus isolated vertices, is deepened whole, so a small
+    graph pays no extra search set-ups.
+
+    The split keeps the witness.  A vertex has the same degree in its
+    component as in the graph, and :func:`induced_subgraph` keeps index
+    order, so each component's branch order is the graph's branch order
+    restricted to it.  Of two optima of the graph, the first in branch
+    order is decided at the first vertex where they differ, and that
+    vertex lies in one component; so the combination of each component's
+    first optimum comes before every other optimum.  The color rule of
+    :func:`_search` changes no first optimum, in the graph or in a
+    component.
+    """
+    if g.order > SOLVER_ORDER_CAP:
+        raise ValueError(f"solver is capped at order {SOLVER_ORDER_CAP}")
+    parts = [part for part in components(g) if part & (part - 1)]
+    if len(parts) < 2:
+        codes, nodes = _deepen(g, labels)
+    else:
+        codes = [1] * g.order
+        nodes = 0
+        for part in parts:
+            sub, count = _deepen(induced_subgraph(g, part), labels)
+            nodes += count
+            for v, code in zip(bits(part), sub):
+                codes[v] = code
+    found = witness(tuple(codes))
     return SolveResult(found.weight(), found, nodes)
 
 

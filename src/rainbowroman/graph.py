@@ -61,10 +61,16 @@ class Graph(Record):
                 raise ValueError(f"adjacency row {v} references a vertex >= order")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v in range(n):
-            for u in bits(adjacency[v]):
-                if not (adjacency[u] >> v) & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        # the lowest asymmetric u of the lowest such row v is reported;
+        # inlined rather than through bits(), since every graph comes here
+        for v, row in enumerate(adjacency):
+            bit = 1 << v
+            while row:
+                low = row & -row
+                if not adjacency[low.bit_length() - 1] & bit:
+                    raise ValueError(
+                        f"asymmetric adjacency between {low.bit_length() - 1} and {v}")
+                row ^= low
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "adjacency", adjacency)
 

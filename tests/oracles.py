@@ -151,6 +151,56 @@ def minimise_descending(g, labels) -> SolveResult:
     return SolveResult(found.weight(), found, nodes)
 
 
+def minimise_unsplit(g, labels) -> SolveResult:
+    """Minimise over ``labels`` by deepening from the root bound on the whole
+    graph, as the solvers did before they split a graph into components.
+
+    ``domination._search`` runs at limits root, root + 1, ... and its first
+    leaf stops it; ``nodes`` sums every pass.  The differential oracle for
+    the component split of ``gamma_r2`` and ``gamma_roman``.
+    """
+    limit, run = domination._search(g, labels)
+    best: list[int] = []
+    reached = False
+
+    def record(codes, weight):
+        nonlocal reached
+        best[:] = codes
+        reached = True
+        return -1
+
+    nodes = run(limit, record)
+    while not reached:
+        limit += 1
+        nodes += run(limit, record)
+    witness = RainbowAssignment if labels == domination._RAINBOW_LABELS else RomanAssignment
+    found = witness(tuple(best))
+    return SolveResult(found.weight(), found, nodes)
+
+
+def graph_validation_error(order, adjacency) -> str | None:
+    """The message ``Graph`` raises for these rows, or None, from the
+    validation loops it ran before its symmetry check was inlined: range
+    and self-loop row by row, then symmetry row by row through
+    ``graph.bits``.  The differential oracle for ``Graph.__init__``.
+    """
+    if order < 0:
+        return "graph order must be non-negative"
+    if len(adjacency) != order:
+        return "adjacency must have one row per vertex"
+    full = (1 << order) - 1
+    for v, row in enumerate(adjacency):
+        if row & ~full:
+            return f"adjacency row {v} references a vertex >= order"
+        if (row >> v) & 1:
+            return f"self-loop at vertex {v}"
+    for v in range(order):
+        for u in bits(adjacency[v]):
+            if not (adjacency[u] >> v) & 1:
+                return f"asymmetric adjacency between {u} and {v}"
+    return None
+
+
 def gamma_roman_subsets(g) -> SolveResult:
     """Minimum Roman domination weight by enumerating the 2-valued set.
 

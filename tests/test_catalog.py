@@ -12,7 +12,8 @@ from rainbowroman.catalog import (CSV_COLUMNS, DEDUP_ORDER_CAP,
                                   LABELED_ORDER_CAP, SAMPLE_COUNT_CAP,
                                   SCAN_ORDER_CAP, enumerate_graphs,
                                   random_graphs, scan)
-from rainbowroman.graph import canonical_form, edge_mask
+from rainbowroman.domination import VerificationError
+from rainbowroman.graph import canonical_form, components, edge_mask
 
 from oracles import isomorphic
 
@@ -178,6 +179,31 @@ class TestScan:
         if non_extremal_sample is not None:
             row_line = lines[1 + report.rows.index(non_extremal_sample)]
             assert row_line.endswith(",,")
+
+    def test_composed_rows_equal_direct_rows(self):
+        # the scan stops at order 6, so order 7 is checked through the helper
+        rows = {}
+        composed = 0
+        for n in range(1, 8):
+            for g, form in catalog._classes(n):
+                parts = components(g)
+                row = catalog._row(g, form, "exhaustive")
+                if len(parts) > 1:
+                    assert catalog._composed_row(g, form, parts, rows) == row
+                    composed += 1
+                rows[n, edge_mask(g, range(n))] = row
+        # 853 of the 1,044 order-7 classes are connected
+        assert composed == sum(CLASS_COUNTS[n] - CONNECTED_CLASS_COUNTS[n]
+                               for n in range(1, 7)) + 1044 - 853 == 256
+
+    def test_composed_rows_keep_the_sandwich_check(self):
+        (k2, k2_form), = [(g, form) for g, form in catalog._classes(2) if g.edge_count()]
+        (two_k2, form), = [(g, form) for g, form in catalog._classes(4)
+                           if [part.bit_count() for part in components(g)] == [2, 2]]
+        bad = dict(catalog._row(k2, k2_form, "exhaustive"), gamma_R=4)
+        with pytest.raises(VerificationError, match="sandwich"):
+            catalog._composed_row(two_k2, form, components(two_k2),
+                                  {(2, edge_mask(k2, range(2))): bad})
 
     def test_golden_digests(self):
         # any change to a row, its order or the aggregate changes a digest

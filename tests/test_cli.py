@@ -328,6 +328,20 @@ class TestConstruct:
         assert payload["consistent"] is True
         assert payload["order"] == 8
 
+    def test_add_c4_up_to_order_64(self, capsys, tmp_path):
+        # both graphs split into squares, so the order cap is reached in
+        # milliseconds
+        g = cycle_graph(4)
+        for _ in range(14):
+            g = disjoint_union(g, cycle_graph(4))
+        path = tmp_path / "fifteen_squares.el"
+        path.write_text(serialize_edge_list(g))
+        code, out, _ = run(capsys, "construct", "--op", "add-c4", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["order"], payload["gamma_r2"], payload["gamma_R"]) == (64, 32, 48)
+        assert payload["consistent"] is True
+
     def test_star_link(self, capsys):
         code, out, _ = run(capsys, "construct", "--op", "star-link", K2BAR)
         assert code == 0

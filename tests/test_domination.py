@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 
@@ -16,15 +17,18 @@ from rainbowroman.domination import (ALL_MIN_ORDER_CAP, SOLVER_ORDER_CAP,
                                      is_2rainbow_dominating,
                                      is_roman_dominating, parse_rainbow,
                                      parse_roman)
-from rainbowroman.graph import (complete_graph, cycle_graph, empty_graph,
-                                from_edge_mask, graph_from_edges, path_graph,
-                                relabel, star_graph)
+from rainbowroman.graph import (complete_graph, components, connected,
+                                cycle_graph, disjoint_union, empty_graph,
+                                from_edge_mask, graph_from_edges,
+                                induced_subgraph, path_graph, relabel,
+                                star_graph)
 from rainbowroman.reduction import build_reduction, random_formula
 from rainbowroman.rng import SplitMix64
 
 from oracles import (PRODUCT_CHECK_ORDER_CAP, RAINBOW_BRANCH_ORDER,
                      ROMAN_BRANCH_ORDER, first_optimum, gamma_r2_product_check,
-                     gamma_roman_subsets, minimise_descending, naive_gamma_r2,
+                     gamma_roman_subsets, minimise_descending,
+                     minimise_unsplit, naive_gamma_r2,
                      naive_gamma_roman, naive_min_2rdfs, rainbow_valid,
                      rainbow_weight, roman_valid)
 from test_reduction import GADGET_FORMULAS
@@ -292,6 +296,90 @@ class TestDeepening:
     ], ids=["P64", "C64", "gap-8"])
     def test_rainbow_node_ceilings(self, g, ceiling):
         assert gamma_r2(g).nodes <= ceiling
+
+
+def squares_paths_and_points():
+    """Disjoint unions of up to two each of C4, P3 and K1, the parts in a
+    seeded order and the vertices relabelled."""
+    rng = SplitMix64(2010)
+    parts = {"C4": cycle_graph(4), "P3": path_graph(3), "K1": complete_graph(1)}
+    out = []
+    for counts in itertools.product(range(3), repeat=3):
+        pool = [h for h, count in zip(parts.values(), counts) for _ in range(count)]
+        g = empty_graph(0)
+        while pool:
+            g = disjoint_union(g, pool.pop(rng.next_below(len(pool))))
+        out.append(relabel(g, random_permutation(rng, g.order)))
+    return out
+
+
+def sparse_8_to_16():
+    rng = SplitMix64(2011)
+    out = []
+    for i in range(300):
+        n = 8 + i % 9
+        out.append(graph_from_edges(n, (p for p in itertools.combinations(range(n), 2)
+                                        if rng.next_below(100) < 15)))
+    return out
+
+
+SPLIT_CORPORA = {
+    "disconnected-classes-to-order-7":
+        lambda: [g for g in classes_to_order_7() if not connected(g)],
+    "squares-paths-and-points": squares_paths_and_points,
+    "sparse-8-to-16": sparse_8_to_16,
+}
+
+
+def edged_parts(g):
+    return [part for part in components(g) if part & (part - 1)]
+
+
+class TestComponents:
+    """The solvers solve each component that holds an edge on its own; the
+    whole-graph deepening they replaced is the oracle."""
+
+    @pytest.mark.parametrize("table", TABLES)
+    @pytest.mark.parametrize("corpus", SPLIT_CORPORA)
+    def test_matches_unsplit_search(self, corpus, table):
+        labels, solve = TABLES[table]
+        split = 0
+        for g in SPLIT_CORPORA[corpus]():
+            got, want = solve(g), minimise_unsplit(g, labels)
+            assert (got.value, got.witness) == (want.value, want.witness)
+            parts = edged_parts(g)
+            if len(parts) > 1:
+                split += 1
+                assert got.nodes == sum(minimise_unsplit(induced_subgraph(g, part), labels).nodes
+                                        for part in parts)
+            else:
+                assert got.nodes == want.nodes
+        assert split > 0
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_graphs_left_whole_keep_their_node_counts(self, table):
+        # connected graphs, and one edge component beside isolated vertices
+        labels, solve = TABLES[table]
+        whole = [g for g in classes_to_order_7() + sparse_8_to_16()
+                 if len(edged_parts(g)) < 2]
+        assert sum(not connected(g) for g in whole) > 20
+        for g in whole:
+            assert solve(g) == minimise_unsplit(g, labels)
+
+    def test_unions_of_squares_up_to_order_64(self):
+        # the whole-graph search grew about 4x per square: 10 squares took 30 s
+        start = time.perf_counter()
+        g = empty_graph(0)
+        for t in range(1, 17):
+            g = add_c4(g)
+            r2, roman = gamma_r2(g), gamma_roman(g)
+            assert (r2.value, roman.value) == (2 * t, 3 * t)
+            assert is_2rainbow_dominating(g, r2.witness)
+            assert r2.witness.weight() == 2 * t
+            assert is_roman_dominating(g, roman.witness)
+            assert roman.witness.weight() == 3 * t
+        assert g.order == 64
+        assert time.perf_counter() - start < 2
 
 
 class TestAllMin:

@@ -18,8 +18,8 @@ from rainbowroman.graph import (EdgeListError, Graph, canonical_form,
                                 star_graph)
 from rainbowroman.rng import SplitMix64
 
-from oracles import (canonical_form_unpruned, connected_brute, has_k4_brute,
-                     isomorphic)
+from oracles import (canonical_form_unpruned, connected_brute,
+                     graph_validation_error, has_k4_brute, isomorphic)
 
 
 def all_labeled(n):
@@ -64,6 +64,32 @@ class TestGraphType:
     def test_rejects_wrong_row_count(self):
         with pytest.raises(ValueError, match="one row per vertex"):
             Graph(2, (0,))
+
+    def test_validation_errors_match_the_old_loops(self):
+        # one bad entry per graph: the message, and so the pair it names,
+        # must be the one the generator-based loops reported first
+        rng = SplitMix64(2000)
+        kinds = {"asymmetric": 0, "self-loop": 0, ">= order": 0}
+        for _ in range(500):
+            n = 1 + rng.next_below(64)
+            rows = list(from_edge_mask(n, rng.next_bits(n * (n - 1) // 2)
+                                       & rng.next_bits(n * (n - 1) // 2)).adjacency)
+            assert graph_validation_error(n, tuple(rows)) is None
+            v = rng.next_below(n)
+            fault = rng.next_below(3)
+            if fault == 0 and n > 1:
+                u = (v + 1 + rng.next_below(n - 1)) % n
+                rows[v] ^= 1 << u
+            elif fault == 1:
+                rows[v] |= 1 << v
+            else:
+                rows[v] |= 1 << (n + rng.next_below(8))
+            want = graph_validation_error(n, tuple(rows))
+            with pytest.raises(ValueError) as err:
+                Graph(n, tuple(rows))
+            assert str(err.value) == want
+            kinds[next(k for k in kinds if k in want)] += 1
+        assert min(kinds.values()) > 100
 
     def test_edges_and_degrees(self):
         g = graph_from_edges(4, [(2, 0), (1, 2), (2, 3)])
