@@ -256,19 +256,21 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
 
 
 def components(g: Graph) -> list[int]:
-    """Connected components as vertex bitmasks, ascending by minimum vertex."""
+    """Connected components as vertex bitmasks, ascending by minimum vertex.
+
+    Each component grows from its least vertex one vertex at a time,
+    without a generator: every solve asks for the components first.
+    """
+    adj = g.adjacency
     out = []
     unvisited = (1 << g.order) - 1
     while unvisited:
-        start = unvisited & -unvisited
-        comp = start
-        frontier = start
+        comp = frontier = unvisited & -unvisited
         while frontier:
-            grow = 0
-            for v in bits(frontier):
-                grow |= g.adjacency[v]
-            frontier = grow & ~comp
-            comp |= frontier
+            low = frontier & -frontier
+            grow = adj[low.bit_length() - 1] & ~comp
+            comp |= grow
+            frontier = (frontier ^ low) | grow
         out.append(comp)
         unvisited &= ~comp
     return out

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from rainbowroman.catalog import enumerate_graphs
-from rainbowroman.graph import (EdgeListError, Graph, canonical_form,
+from rainbowroman.graph import (EdgeListError, Graph, bits, canonical_form,
                                 complete_graph, components, connected,
                                 cycle_graph, diamond_graph, disjoint_union,
                                 edge_mask, empty_graph, from_edge_mask,
@@ -239,6 +239,14 @@ class TestOperations:
             for _ in range(8):
                 h = random_graph(rng, n)
                 assert connected(h) == connected_brute(h), serialize_edge_list(h)
+                # a partition into closed, connected parts, by least vertex
+                parts = components(h)
+                assert sum(p.bit_count() for p in parts) == n
+                assert mask_of(v for p in parts for v in bits(p)) == (1 << n) - 1
+                assert parts == sorted(parts, key=lambda p: p & -p)
+                for part in parts:
+                    assert connected_brute(induced_subgraph(h, part))
+                    assert all(h.adjacency[v] & ~part == 0 for v in bits(part))
 
     def test_is_k4_free_exhaustive_order_5(self):
         for g in all_labeled(5):
