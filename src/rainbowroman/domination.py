@@ -156,7 +156,7 @@ def is_roman_dominating(g: Graph, f: RomanAssignment) -> bool:
 
 
 def _prism_bound(n: int, scan: list[tuple[int, int, int, int]], demand: int,
-                 undecided: int) -> int | None:
+                 undecided: int, budget: int) -> int | None:
     """Admissible lower bound on the weight still to be added.
 
     Work in the prism G x K2, where placing color c on vertex x is one
@@ -170,6 +170,12 @@ def _prism_bound(n: int, scan: list[tuple[int, int, int, int]], demand: int,
     own demands.  The count holds for the Roman table too: a Roman 2 is
     the two units {1, 2} and a Roman 1 is one rung unit.  ``scan`` holds
     ``(bit v, bit n + v, rung, adjacency row)`` per vertex.
+
+    ``budget`` is the weight the branch may still add.  The count only
+    grows, so once it exceeds the budget the branch is cut whatever the
+    rest of the scan finds, a hopeless vertex included; the count so far
+    is returned then.  Whenever the full count is at most the budget, it
+    is returned unchanged.
     """
     used = 0
     count = 0
@@ -193,43 +199,46 @@ def _prism_bound(n: int, scan: list[tuple[int, int, int, int]], demand: int,
             if sup & used == 0:
                 used |= sup
                 count += 1
+        if count > budget:
+            return count
     return count
 
 
-def _ratio_bound(offers: list[tuple[int, list[int]]], undecided: int,
-                 demand: int) -> int | None:
+def _ratio_bound(offers: list[tuple[int, int]], demand: int, budget: int) -> int | None:
     """Admissible set-cover lower bound on the weight still to be added.
 
-    ``offers`` holds, for each nonempty label, its weight and, per vertex
-    x, the demand bits the label would meet if placed on x: x's own two,
-    plus the colors it shows to x's neighbours.  Each unmet demand is
-    charged the least ``weight / |unmet demands the label would meet|``
-    over the undecided vertices and labels that meet it, found by
-    sweeping the offers in ascending ratio.  Any completion covers every
-    demand, and a label it places pays exactly the charges of the
-    demands it meets at its own ratio, which is at least their least
-    ratio; so the sum of charges is at most the weight still to come,
-    and since weights are integers so is its ceiling.  The sum is taken
-    in floats: it has at most 2n <= 128 terms and is at most 4n <= 256,
-    since no charge exceeds 2, so its rounding error stays below 1e-11;
-    subtracting 1e-9 before the ceiling can then only lower the bound.
-    Returns None when some demand has no possible supplier.
+    ``offers`` holds one ``(weight, reach)`` pair per nonempty label and
+    undecided vertex x: the label's weight and the demand bits it would
+    meet if placed on x, x's own two plus the colors it shows to x's
+    neighbours.  Each unmet demand is charged the least ``weight /
+    |unmet demands the label would meet|`` over the offers that meet it,
+    found by sweeping the offers in ascending ratio.  Any completion
+    covers every demand, and a label it places pays exactly the charges
+    of the demands it meets at its own ratio, which is at least their
+    least ratio; so the sum of charges is at most the weight still to
+    come, and since weights are integers so is its ceiling.  The sum is
+    taken in floats: it has at most 2n <= 128 terms and is at most 4n <=
+    256, since no charge exceeds 2, so its rounding error stays below
+    1e-11; subtracting 1e-9 before the ceiling can then only lower the
+    bound.  Returns None when some demand has no possible supplier.
+
+    ``budget`` is the weight the branch may still add.  The running
+    charge only grows, so once it, less the 1e-9, exceeds the budget the
+    branch is cut whatever the rest of the sweep finds, a demand without
+    supplier included; the ceiling of the charge so far is returned then,
+    and it too exceeds the budget.  Whenever the full bound is at most
+    the budget, it is returned unchanged.
     """
-    ranked = []
-    while undecided:
-        low = undecided & -undecided
-        undecided ^= low
-        x = low.bit_length() - 1
-        for weight, reach in offers:
-            met = demand & reach[x]
-            if met:
-                ranked.append((weight / met.bit_count(), met))
+    ranked = [(weight / met.bit_count(), met)
+              for weight, reach in offers if (met := demand & reach)]
     ranked.sort()
     total = 0.0
     for ratio, met in ranked:
         met &= demand
         if met:
             total += ratio * met.bit_count()
+            if total - 1e-9 > budget:
+                return math.ceil(total - 1e-9)
             demand &= ~met
             if demand == 0:
                 break
@@ -264,6 +273,21 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
     stop it.  ``codes`` is the live list, so a leaf that keeps it must
     copy it.
 
+    The offer table of :func:`_ratio_bound` is built once, flat and in
+    branch order: k pairs per vertex, one per nonempty label (k = 3 for
+    the rainbow table, 2 for the Roman one).  The vertices still
+    undecided below depth d are exactly ``branch[d + 1:]``, so a child at
+    depth d reads the suffix ``offers[(d + 1) * k:]``, and the root reads
+    the whole table.  Both bounds get the budget ``limit`` less the
+    branch's weight and stop once their running total exceeds it; the
+    root passes 4n, which no bound reaches.  Neither changes what the
+    search does.  The sorted ratio list does not depend on the order its
+    entries were built in, so every ratio bound, float total included,
+    is what a walk over the undecided vertices in index order gives; and
+    a bound stops early only where its full value, or None, would cut
+    the branch too.  So every pass visits the same nodes in the same
+    order and reaches the same first leaf.
+
     Swapping colors 1 and 2 maps a 2-rainbow dominating function to one
     of the same weight, so the search reaches one function of each such
     pair: a label showing color 2 alone waits until a label showing
@@ -284,16 +308,18 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
             for v in sorted(range(n), key=lambda v: (deg[v], v))]
     # shown_to[v][s]: the demand bits met at v's neighbours by colors s
     shown_to = [(0, row, row << n, row | row << n) for row in adj]
-    offers = [(weight, [rung | masks[shows] for rung, masks in zip(rungs, shown_to)])
-              for code, weight, shows in labels if code]
+    placed = [(weight, shows) for code, weight, shows in labels if code]
+    k = len(placed)
+    offers = [(weight, rungs[v] | shown_to[v][shows])
+              for v in branch for weight, shows in placed]
     # the labels allowed before any label showing color 1 alone is placed
     opening = tuple(label for label in labels if label[2] != 2)
     everyone = (1 << n) - 1
     every_demand = everyone | everyone << n
     # with every vertex undecided each demand has its own rung as supplier,
-    # so neither bound is None here
-    root = max(_prism_bound(n, scan, every_demand, everyone),
-               _ratio_bound(offers, everyone, every_demand))
+    # so neither bound is None here, and none reaches 4n
+    root = max(_prism_bound(n, scan, every_demand, everyone, 4 * n),
+               _ratio_bound(offers, every_demand, 4 * n))
     codes = [0] * n
 
     def run(limit: int, leaf: _Leaf) -> int:
@@ -318,11 +344,12 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
                 pending = remaining | now_empty
                 demand = (pending | pending << n) & ~now_shown
                 if demand:
-                    bound = _prism_bound(n, scan, demand, remaining)
-                    if bound is None or w + bound > limit:
+                    budget = limit - w
+                    bound = _prism_bound(n, scan, demand, remaining, budget)
+                    if bound is None or bound > budget:
                         continue
-                    bound = _ratio_bound(offers, remaining, demand)
-                    if bound is None or w + bound > limit:
+                    bound = _ratio_bound(offers[(depth + 1) * k:], demand, budget)
+                    if bound is None or bound > budget:
                         continue
                 descend(depth + 1, w, remaining, now_empty, now_shown,
                         opened or shows == 1)

@@ -11,6 +11,8 @@ stay here too, as differential oracles for their replacements.
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 from functools import lru_cache
 
 from rainbowroman import domination
@@ -176,6 +178,140 @@ def minimise_unsplit(g, labels) -> SolveResult:
     witness = RainbowAssignment if labels == domination._RAINBOW_LABELS else RomanAssignment
     found = witness(tuple(best))
     return SolveResult(found.weight(), found, nodes)
+
+
+def prism_bound_unbudgeted(n, scan, demand, undecided) -> int | None:
+    """``domination._prism_bound`` as it was before it took a budget: the
+    packing count always runs to the end of the scan."""
+    used = 0
+    count = 0
+    for one, two, rung, row in scan:
+        if demand & rung == 0:
+            continue
+        nbrs = row & undecided
+        if undecided & one == 0:
+            rung = 0  # an empty vertex is met only by its neighbours
+        if demand & one:
+            sup = rung | nbrs
+            if sup == 0:
+                return None
+            if sup & used == 0:
+                used |= sup
+                count += 1
+        if demand & two:
+            sup = rung | nbrs << n
+            if sup == 0:
+                return None
+            if sup & used == 0:
+                used |= sup
+                count += 1
+    return count
+
+
+def ratio_bound_by_mask(offers, undecided, demand) -> int | None:
+    """``domination._ratio_bound`` as it was before the flat offer table:
+    ``offers`` holds, per nonempty label, its weight and a per-vertex list
+    of the demand bits it would meet, and the undecided mask is walked one
+    vertex at a time, in index order, to collect the ranking.  No budget."""
+    ranked = []
+    while undecided:
+        low = undecided & -undecided
+        undecided ^= low
+        x = low.bit_length() - 1
+        for weight, reach in offers:
+            met = demand & reach[x]
+            if met:
+                ranked.append((weight / met.bit_count(), met))
+    ranked.sort()
+    total = 0.0
+    for ratio, met in ranked:
+        met &= demand
+        if met:
+            total += ratio * met.bit_count()
+            demand &= ~met
+            if demand == 0:
+                break
+    if demand:
+        return None
+    return math.ceil(total - 1e-9)
+
+
+def ratio_bound_exact(offers, demand) -> int | None:
+    """The ratio bound in exact arithmetic, straight off its definition.
+
+    ``offers`` is the flat ``(weight, reach)`` table of
+    ``domination._ratio_bound``.  Each demand bit is charged the least
+    ``weight / |demand & reach|`` over the offers whose reach holds it; the
+    bound is the ceiling of the sum, or None when some demand has no offer.
+    """
+    total = Fraction(0)
+    for d in bits(demand):
+        charges = [Fraction(weight, (demand & reach).bit_count())
+                   for weight, reach in offers if reach >> d & 1]
+        if not charges:
+            return None
+        total += min(charges)
+    return math.ceil(total)
+
+
+def search_by_mask(g, labels):
+    """``domination._search`` as it was before the flat offer table and the
+    budgets: the ratio bound walks the undecided mask to collect per-vertex
+    offers, and both bounds run to the end.  Same ``(root, run)`` contract.
+    The differential oracle for the search's root bound, node counts,
+    values and witnesses.
+    """
+    n = g.order
+    adj = g.adjacency
+    deg = [row.bit_count() for row in adj]
+    branch = sorted(range(n), key=lambda v: (-deg[v], v))
+    rungs = [(1 << v) | (1 << (n + v)) for v in range(n)]
+    scan = [(1 << v, 1 << (n + v), rungs[v], adj[v])
+            for v in sorted(range(n), key=lambda v: (deg[v], v))]
+    shown_to = [(0, row, row << n, row | row << n) for row in adj]
+    offers = [(weight, [rung | masks[shows] for rung, masks in zip(rungs, shown_to)])
+              for code, weight, shows in labels if code]
+    opening = tuple(label for label in labels if label[2] != 2)
+    everyone = (1 << n) - 1
+    every_demand = everyone | everyone << n
+    root = max(prism_bound_unbudgeted(n, scan, every_demand, everyone),
+               ratio_bound_by_mask(offers, everyone, every_demand))
+    codes = [0] * n
+
+    def run(limit, leaf):
+        nodes = 0
+
+        def descend(depth, weight, undecided, empties, shown, opened):
+            nonlocal limit, nodes
+            if depth == n:
+                limit = leaf(codes, weight)
+                return
+            v = branch[depth]
+            remaining = undecided & ~(1 << v)
+            for code, cost, shows in labels if opened else opening:
+                w = weight + cost
+                if w > limit:
+                    continue
+                nodes += 1
+                codes[v] = code
+                now_empty = empties if code else empties | (1 << v)
+                now_shown = shown | shown_to[v][shows]
+                pending = remaining | now_empty
+                demand = (pending | pending << n) & ~now_shown
+                if demand:
+                    bound = prism_bound_unbudgeted(n, scan, demand, remaining)
+                    if bound is None or w + bound > limit:
+                        continue
+                    bound = ratio_bound_by_mask(offers, remaining, demand)
+                    if bound is None or w + bound > limit:
+                        continue
+                descend(depth + 1, w, remaining, now_empty, now_shown,
+                        opened or shows == 1)
+
+        descend(0, 0, everyone, 0, 0, False)
+        return nodes
+
+    return root, run
 
 
 def graph_validation_error(order, adjacency) -> str | None:

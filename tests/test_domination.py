@@ -29,8 +29,9 @@ from oracles import (PRODUCT_CHECK_ORDER_CAP, RAINBOW_BRANCH_ORDER,
                      ROMAN_BRANCH_ORDER, first_optimum, gamma_r2_product_check,
                      gamma_roman_subsets, minimise_descending,
                      minimise_unsplit, naive_gamma_r2,
-                     naive_gamma_roman, naive_min_2rdfs, rainbow_valid,
-                     rainbow_weight, roman_valid)
+                     naive_gamma_roman, naive_min_2rdfs,
+                     prism_bound_unbudgeted, rainbow_valid, rainbow_weight,
+                     ratio_bound_exact, roman_valid, search_by_mask)
 from test_reduction import GADGET_FORMULAS
 
 TABLES = {"rainbow": (domination._RAINBOW_LABELS, gamma_r2),
@@ -380,6 +381,125 @@ class TestComponents:
             assert roman.witness.weight() == 3 * t
         assert g.order == 64
         assert time.perf_counter() - start < 2
+
+
+def deepening_passes(search, g, labels):
+    """The root bound, the nodes of each deepening pass and the first leaf's
+    codes, running ``search``'s ``(root, run)`` at limits root, root + 1, ..."""
+    root, run = search(g, labels)
+    found = []
+
+    def leaf(codes, weight):
+        found.append(tuple(codes))
+        return -1
+
+    limit = root
+    counts = [run(limit, leaf)]
+    while not found:
+        limit += 1
+        counts.append(run(limit, leaf))
+    return root, counts, found[0]
+
+
+MASK_CORPORA = {
+    "classes-to-order-7": classes_to_order_7,
+    "sparse-8-to-16": sparse_8_to_16,
+    "random-8-to-20": lambda: list(density_graphs(SplitMix64(1986), 10, range(8, 21))),
+    "P64-and-C64": lambda: [path_graph(64), cycle_graph(64)],
+    "gap-0-to-6": lambda: [gap_graph(k) for k in range(7)],
+    "dense-28-to-30": lambda: [random_graph(SplitMix64(seed), n)
+                               for seed, n in ((1, 28), (2, 29), (3, 30))],
+}
+
+UNREACHABLE = 1 << 20
+
+
+def bound_corpus():
+    return (classes_to_order_7()
+            + list(density_graphs(SplitMix64(1987), 4, range(8, 16)))
+            + [gap_graph(k) for k in range(4)] + [path_graph(12), cycle_graph(13)])
+
+
+@pytest.fixture(scope="module")
+def bound_calls():
+    """Every call the solvers make to either bound on ``bound_corpus()``, as
+    ``(arguments, result, optimum)`` per bound name."""
+    calls = {"_prism_bound": [], "_ratio_bound": []}
+    current = {name: [] for name in calls}
+    with pytest.MonkeyPatch.context() as patch:
+        for name in calls:
+            def record(*args, bound=getattr(domination, name), out=current[name]):
+                result = bound(*args)
+                out.append((args, result))
+                return result
+            patch.setattr(domination, name, record)
+        for g in bound_corpus():
+            for _, solve in TABLES.values():
+                value = solve(g).value
+                for name, made in current.items():
+                    calls[name] += [(args, result, value) for args, result in made]
+                    made.clear()
+    return calls
+
+
+def over(result, budget):
+    return result is None or result > budget
+
+
+class TestOfferTable:
+    """The ratio bound reads a flat per-depth offer table and both bounds stop
+    at a budget; the search that walked the undecided mask, with no budget,
+    is the oracle."""
+
+    @pytest.mark.parametrize("table", TABLES)
+    @pytest.mark.parametrize("corpus", MASK_CORPORA)
+    def test_matches_mask_walking_search(self, corpus, table):
+        labels, _ = TABLES[table]
+        for g in MASK_CORPORA[corpus]():
+            assert (deepening_passes(domination._search, g, labels)
+                    == deepening_passes(search_by_mask, g, labels))
+
+    def test_ratio_bound_is_exact(self, bound_calls):
+        calls = bound_calls["_ratio_bound"]
+        assert len(calls) > 1000
+        for (offers, demand, budget), result, _ in calls:
+            want = ratio_bound_exact(offers, demand)
+            assert domination._ratio_bound(offers, demand, UNREACHABLE) == want
+            assert result == want or (over(result, budget) and over(want, budget))
+
+    @pytest.mark.parametrize("name", ["_prism_bound", "_ratio_bound"])
+    def test_budget_changes_only_results_that_cut(self, bound_calls, name):
+        bound = getattr(domination, name)
+        calls = bound_calls[name]
+        assert sum(over(result, args[-1]) for args, result, _ in calls) > 100
+        for args, _, value in calls:
+            rest = args[:-1]
+            if name == "_prism_bound":
+                full = prism_bound_unbudgeted(*rest)
+            else:
+                full = bound(*rest, UNREACHABLE)
+            for budget in range(max(value, full or 0) + 2):
+                got = bound(*rest, budget)
+                assert over(got, budget) == over(full, budget)
+                if not over(full, budget):
+                    assert got == full
+
+    @pytest.mark.parametrize("budget", [0, UNREACHABLE])
+    def test_hopeless_state_is_cut(self, budget):
+        # P3 = 0 - 1 - 2 with 0 empty, 1 = {1} and 2 undecided: vertex 0
+        # still misses color 2 and has no undecided neighbour
+        n = 3
+        adj = path_graph(3).adjacency
+        rung = [(1 << v) | (1 << (n + v)) for v in range(n)]
+        scan = [(1 << v, 1 << (n + v), rung[v], adj[v]) for v in (0, 2, 1)]
+        offers = [(weight, rung[2] | adj[2] * shows_mask)
+                  for weight, shows_mask in ((2, 1 | 1 << n), (1, 1), (1, 1 << n))]
+        demand = 1 << n | 1 << (n + 2)
+        prism = domination._prism_bound(n, scan, demand, 1 << 2, budget)
+        ratio = domination._ratio_bound(offers, demand, budget)
+        assert over(prism, budget) and over(ratio, budget)
+        if budget == UNREACHABLE:
+            assert prism is None and ratio is None
 
 
 class TestAllMin:
