@@ -280,7 +280,7 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
     depth d reads the suffix ``offers[(d + 1) * k:]``, and the root reads
     the whole table.  Both bounds get the budget ``limit`` less the
     branch's weight and stop once their running total exceeds it; the
-    root passes 4n, which no bound reaches.  Neither changes what the
+    root passes 4n, which no bound exceeds.  Neither changes what the
     search does.  The sorted ratio list does not depend on the order its
     entries were built in, so every ratio bound, float total included,
     is what a walk over the undecided vertices in index order gives; and
@@ -317,7 +317,7 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
     everyone = (1 << n) - 1
     every_demand = everyone | everyone << n
     # with every vertex undecided each demand has its own rung as supplier,
-    # so neither bound is None here, and none reaches 4n
+    # so neither bound is None here, and none exceeds 4n
     root = max(_prism_bound(n, scan, every_demand, everyone, 4 * n),
                _ratio_bound(offers, every_demand, 4 * n))
     codes = [0] * n

@@ -492,8 +492,8 @@ class TestOfferTable:
         adj = path_graph(3).adjacency
         rung = [(1 << v) | (1 << (n + v)) for v in range(n)]
         scan = [(1 << v, 1 << (n + v), rung[v], adj[v]) for v in (0, 2, 1)]
-        offers = [(weight, rung[2] | adj[2] * shows_mask)
-                  for weight, shows_mask in ((2, 1 | 1 << n), (1, 1), (1, 1 << n))]
+        row = adj[2]  # the offers of vertex 2: {1, 2}, {1} and {2}
+        offers = [(2, rung[2] | row | row << n), (1, rung[2] | row), (1, rung[2] | row << n)]
         demand = 1 << n | 1 << (n + 2)
         prism = domination._prism_bound(n, scan, demand, 1 << 2, budget)
         ratio = domination._ratio_bound(offers, demand, budget)
