@@ -16,11 +16,12 @@ of ``(code, weight, shows)`` triples: the rainbow table for
 deepens the search's weight limit from its root lower bound until the
 first complete assignment appears; that assignment is the optimum's
 deterministic witness, the first optimal assignment in the kernel's
-fixed branch order.  A graph with two or more components that hold an
-edge is solved one component at a time, with the same witness.  The
-enumeration of every minimum 2-rainbow function runs the same search at
-the optimum and differs only in what it does with each complete
-assignment.
+fixed branch order.  Every graph is solved one connected component at
+a time, with the same witness: each component that holds an edge is
+searched on its own, and each isolated vertex takes the lightest label
+without a search.  The enumeration of every minimum 2-rainbow
+function runs the same search at the optimum and differs only in what
+it does with each complete assignment.
 
 Rainbow codes are packed as ints: 0 = {}, 1 = {1}, 2 = {2}, 3 = {1, 2}.
 """
@@ -56,6 +57,7 @@ class RainbowAssignment(Record):
     codes: tuple[int, ...]
 
     def __init__(self, codes: tuple[int, ...]) -> None:
+        codes = tuple(codes)
         if any(c not in (0, 1, 2, 3) for c in codes):
             raise ValueError("rainbow codes must be 0, 1, 2, or 3")
         object.__setattr__(self, "codes", codes)
@@ -75,6 +77,7 @@ class RomanAssignment(Record):
     values: tuple[int, ...]
 
     def __init__(self, values: tuple[int, ...]) -> None:
+        values = tuple(values)
         if any(x not in (0, 1, 2) for x in values):
             raise ValueError("Roman values must be 0, 1, or 2")
         object.__setattr__(self, "values", values)
@@ -360,49 +363,28 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
     return root, run
 
 
-def _deepen(g: Graph, labels: tuple[tuple[int, int, int], ...]) -> tuple[list[int], int]:
-    """Run :func:`_search` at limits root, root + 1, ... until a leaf is reached.
-
-    This is iterative deepening (Korf, "Depth-first iterative-deepening:
-    an optimal admissible tree search", Artificial Intelligence 27, 1985)
-    from the search's root bound.  Below the optimum no leaf exists.  At
-    the optimum the admissible bounds never cut an optimal leaf, so the
-    first leaf reached is the first optimum in branch order, and the leaf
-    stops the search there.  Returns its codes in vertex order and the
-    nodes of every pass.
-    """
-    limit, run = _search(g, labels)
-    best: list[int] = []
-    reached = False  # the order-0 graph's one leaf leaves ``best`` empty
-
-    def record(codes: list[int], weight: int) -> int:
-        nonlocal reached
-        best[:] = codes
-        reached = True
-        return -1
-
-    nodes = run(limit, record)
-    while not reached:
-        limit += 1
-        nodes += run(limit, record)
-    return best, nodes
-
-
 def _minimise(g: Graph, labels: tuple[tuple[int, int, int], ...],
               witness: type[RainbowAssignment] | type[RomanAssignment]) -> SolveResult:
     """The optimum and its witness, the first optimum in branch order.
 
     Both parameters add up over connected components: a function is
     dominating exactly when its restriction to each component is, so the
-    optima are the combinations of each component's optima.  When two or
-    more components hold an edge, each such component is deepened on its
-    own (:func:`_deepen` on its :func:`induced_subgraph`) and its codes
-    are put back at its vertices; each isolated vertex takes code 1, the
-    rainbow {1} or the Roman 1, the lightest label it can take and the
-    first of them in branch order.  The value is the sum, and ``nodes``
-    sums the component searches.  Any other graph, connected or one edge
-    component plus isolated vertices, is deepened whole, so a small
-    graph pays no extra search set-ups.
+    optima are the combinations of each component's optima.  So every
+    graph is solved one component at a time.  Each isolated vertex takes
+    code 1, the rainbow {1} or the Roman 1, the lightest label it can
+    take and the first of them in branch order, without a search.  Each
+    component that holds an edge is searched on its own, on its
+    :func:`induced_subgraph`, or on ``g`` itself when it spans every
+    vertex, and its codes are put back at its vertices.  The value is the
+    sum, and ``nodes`` sums the component searches.
+
+    A component's search is iterative deepening (Korf, "Depth-first
+    iterative-deepening: an optimal admissible tree search", Artificial
+    Intelligence 27, 1985): :func:`_search` runs at limits root, root +
+    1, ... from its root bound.  Below the optimum no leaf exists.  At the
+    optimum the admissible bounds never cut an optimal leaf, so the first
+    leaf reached is the first optimum in branch order, and the leaf stops
+    the search there.
 
     The split keeps the witness.  A vertex has the same degree in its
     component as in the graph, and :func:`induced_subgraph` keeps index
@@ -416,17 +398,26 @@ def _minimise(g: Graph, labels: tuple[tuple[int, int, int], ...],
     """
     if g.order > SOLVER_ORDER_CAP:
         raise ValueError(f"solver is capped at order {SOLVER_ORDER_CAP}")
-    parts = [part for part in components(g) if part & (part - 1)]
-    if len(parts) < 2:
-        codes, nodes = _deepen(g, labels)
-    else:
-        codes = [1] * g.order
-        nodes = 0
-        for part in parts:
-            sub, count = _deepen(induced_subgraph(g, part), labels)
-            nodes += count
-            for v, code in zip(bits(part), sub):
-                codes[v] = code
+    everyone = (1 << g.order) - 1
+    codes = [1] * g.order
+    nodes = 0
+    best: list[int] = []
+
+    def record(found: list[int], weight: int) -> int:
+        best[:] = found
+        return -1
+
+    for part in components(g):
+        if part & (part - 1) == 0:
+            continue  # an isolated vertex keeps code 1
+        limit, run = _search(g if part == everyone else induced_subgraph(g, part), labels)
+        best.clear()
+        nodes += run(limit, record)
+        while not best:
+            limit += 1
+            nodes += run(limit, record)
+        for v, code in zip(bits(part), best):
+            codes[v] = code
     found = witness(tuple(codes))
     return SolveResult(found.weight(), found, nodes)
 

@@ -50,6 +50,7 @@ class Graph(Record):
     adjacency: tuple[int, ...]
 
     def __init__(self, order: int, adjacency: tuple[int, ...]) -> None:
+        adjacency = tuple(adjacency)
         n = order
         if n < 0:
             raise ValueError("graph order must be non-negative")

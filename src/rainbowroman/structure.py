@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .domination import (RainbowAssignment, _all_min_at, _each_min_2rdf,
-                         format_rainbow)
+from .domination import (RainbowAssignment, _all_min_at, _check_order,
+                         _each_min_2rdf, format_rainbow)
 from .graph import Graph, bits
 from .hereditary import solve_both_cached
 
@@ -63,7 +63,9 @@ class StructureAudit(NamedTuple):
 
 
 def audit_function(g: Graph, f: RainbowAssignment) -> StructureAudit:
-    """Evaluate the five structural properties for one assignment."""
+    """Evaluate the five structural properties for one assignment, which
+    must have the graph's order (ValueError otherwise)."""
+    _check_order(g, f)
     sets = {0: 0, 1: 0, 2: 0, 3: 0}
     for v, c in enumerate(f.codes):
         sets[c] |= 1 << v

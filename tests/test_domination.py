@@ -274,20 +274,24 @@ class TestDeepening:
             root, _ = domination._search(g, labels)
             assert root <= minimise_descending(g, labels).value
 
-    @pytest.mark.parametrize("g,value,codes,nodes", [
-        (empty_graph(0), 0, (), 0),  # its one leaf is the empty assignment
-        (complete_graph(1), 1, (1,), 1),
-        # each vertex but the last first tries the label of weight 2, which
-        # the bound cuts
-        (empty_graph(10), 10, (1,) * 10, 19),
+    # a graph without an edge is solved without a search: each vertex
+    # takes code 1
+    @pytest.mark.parametrize("g,value,codes", [
+        (empty_graph(0), 0, ()),
+        (complete_graph(1), 1, (1,)),
+        (empty_graph(10), 10, (1,) * 10),
     ], ids=["order-0", "K1", "edgeless-10"])
     @pytest.mark.parametrize("table", TABLES)
-    def test_edge_cases(self, g, value, codes, nodes, table):
+    def test_edge_cases(self, g, value, codes, table, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("a graph without an edge reached the search")
+
+        monkeypatch.setattr(domination, "_search", no_search)
         res = TABLES[table][1](g)
         assert res.value == value
         assert res.witness == (RainbowAssignment(codes) if table == "rainbow"
                                else RomanAssignment(codes))
-        assert res.nodes == nodes
+        assert res.nodes == 0
 
     @pytest.mark.parametrize("g,ceiling", [
         # the descending search took 2,815, 3,032 and 2,265 nodes
@@ -337,35 +341,27 @@ def edged_parts(g):
 
 
 class TestComponents:
-    """The solvers solve each component that holds an edge on its own; the
-    whole-graph deepening they replaced is the oracle."""
+    """The solvers search each component that holds an edge on its own and
+    give each isolated vertex code 1; the whole-graph deepening they
+    replaced is the oracle."""
 
     @pytest.mark.parametrize("table", TABLES)
     @pytest.mark.parametrize("corpus", SPLIT_CORPORA)
     def test_matches_unsplit_search(self, corpus, table):
         labels, solve = TABLES[table]
-        split = 0
         for g in SPLIT_CORPORA[corpus]():
             got, want = solve(g), minimise_unsplit(g, labels)
             assert (got.value, got.witness) == (want.value, want.witness)
-            parts = edged_parts(g)
-            if len(parts) > 1:
-                split += 1
-                assert got.nodes == sum(minimise_unsplit(induced_subgraph(g, part), labels).nodes
-                                        for part in parts)
-            else:
-                assert got.nodes == want.nodes
-        assert split > 0
+            assert got.nodes == sum(minimise_unsplit(induced_subgraph(g, part), labels).nodes
+                                    for part in edged_parts(g))
 
     @pytest.mark.parametrize("table", TABLES)
-    def test_graphs_left_whole_keep_their_node_counts(self, table):
-        # connected graphs, and one edge component beside isolated vertices
+    def test_connected_graphs_keep_their_whole_result(self, table):
+        # K1, connected but without an edge, is not searched: see test_edge_cases
         labels, solve = TABLES[table]
-        whole = [g for g in classes_to_order_7() + sparse_8_to_16()
-                 if len(edged_parts(g)) < 2]
-        assert sum(not connected(g) for g in whole) > 20
-        for g in whole:
-            assert solve(g) == minimise_unsplit(g, labels)
+        for g in classes_to_order_7() + sparse_8_to_16():
+            if connected(g) and g.order > 1:
+                assert solve(g) == minimise_unsplit(g, labels)
 
     def test_unions_of_squares_up_to_order_64(self):
         # the whole-graph search grew about 4x per square: 10 squares took 30 s

@@ -87,6 +87,11 @@ class TestAuditFunction:
         assert not a.properties["i"]
         assert not a.all_pass()
 
+    @pytest.mark.parametrize("codes", [(1, 0, 2), (1, 0, 2, 0, 1)])
+    def test_rejects_an_assignment_of_another_length(self, codes):
+        with pytest.raises(ValueError, match="^assignment length differs from graph order$"):
+            audit_function(cycle_graph(4), RainbowAssignment(codes))
+
     def test_both_codes_violate_property_i(self):
         g = cycle_graph(4)
         a = audit_function(g, RainbowAssignment((3, 0, 3, 0)))
