@@ -61,8 +61,8 @@ def test_equality_needs_the_same_class():
 
 @pytest.mark.parametrize("build,twin", [
     (lambda seq: Graph(2, seq), Graph(2, (2, 1))),
-    (lambda seq: RainbowAssignment(seq), RainbowAssignment((2, 1))),
-    (lambda seq: RomanAssignment(seq), RomanAssignment((2, 1))),
+    (RainbowAssignment, RainbowAssignment((2, 1))),
+    (RomanAssignment, RomanAssignment((2, 1))),
 ])
 def test_a_list_argument_is_stored_as_a_tuple(build, twin):
     seq = [2, 1]
@@ -73,6 +73,18 @@ def test_a_list_argument_is_stored_as_a_tuple(build, twin):
     assert type(field) is tuple
     seq[0] = 0  # changing the argument afterwards leaves the record alone
     assert field == (2, 1) and record == twin
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Graph(2, [2]), "adjacency must have one row per vertex"),
+    (lambda: Graph(2, [2, 0]), "asymmetric adjacency between 1 and 0"),
+    (lambda: RainbowAssignment([4]), "rainbow codes must be 0, 1, 2, or 3"),
+    (lambda: RomanAssignment([3]), "Roman values must be 0, 1, or 2"),
+])
+def test_a_bad_list_argument_keeps_the_message(build, message):
+    with pytest.raises(ValueError) as error:
+        build()
+    assert str(error.value) == message
 
 
 def test_formula_clauses_are_cleaned():
@@ -89,10 +101,6 @@ def test_formula_clauses_are_cleaned():
     (lambda: Graph(2, (2, 0)), "asymmetric adjacency between 1 and 0"),
     (lambda: RainbowAssignment((4,)), "rainbow codes must be 0, 1, 2, or 3"),
     (lambda: RomanAssignment((3,)), "Roman values must be 0, 1, or 2"),
-    (lambda: Graph(2, [2]), "adjacency must have one row per vertex"),
-    (lambda: Graph(2, [2, 0]), "asymmetric adjacency between 1 and 0"),
-    (lambda: RainbowAssignment([4]), "rainbow codes must be 0, 1, 2, or 3"),
-    (lambda: RomanAssignment([3]), "Roman values must be 0, 1, or 2"),
     (lambda: CnfFormula(0, ()), "formula needs at least one variable"),
     (lambda: CnfFormula(1, ((),)), "empty clause"),
     (lambda: CnfFormula(4, ((1, 2, 3, 4),)), "clause has more than three literals"),
