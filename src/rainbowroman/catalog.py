@@ -4,10 +4,13 @@ The enumerator streams every labeled graph of a given order in
 ascending edge-mask order (bit i of the mask = i-th vertex pair in
 lexicographic order).  With dedup it keeps exactly one representative
 per isomorphism class, the least edge mask, built from the order-(n-1)
-representatives by adding vertex 0 with every possible neighbourhood
-and keeping the least mask per canonical form (vertex augmentation as
-in McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
-1998).  Each class keeps its canonical form, which the scan reports.
+representatives by adding vertex 0 and keeping the least mask per
+canonical form (vertex augmentation as in McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998).  Swapping two twins
+of a parent is an automorphism, so neighbourhoods that differ only in
+which members of a twin class they take give isomorphic graphs; of
+those, only the one taking the lowest-indexed members is tried.  Each
+class keeps its canonical form, which the scan reports.
 
 The scan solves both parameters over the deduplicated catalogue up to a
 requested order, plus an optional seeded random sample at a larger
@@ -56,24 +59,59 @@ def _classes(n: int) -> tuple[tuple[Graph, bytes], ...]:
     pairs follow in the order-(n - 1) pair order, so a mask is
     ``high << (n - 1) | low`` with ``high`` the mask of the graph left
     after deleting vertex 0.  A least mask minimizes ``high`` first, so
-    that ``high`` is itself a least mask of order n - 1.  Trying every
-    ``low`` on every such ``high`` in ascending order therefore meets
+    that ``high`` is itself a least mask of order n - 1.  Walking the
+    ``low`` of every such ``high`` in ascending order therefore meets
     each class first at its least mask.  The candidate's rows come from
     its parent's: vertex 0 is adjacent to vertex j iff bit j - 1 of
     ``low`` is set, and vertex i + 1 is the parent's vertex i.
+
+    The walk skips every ``low`` that takes a member of a parent's twin
+    class (see :func:`_twin_classes`) but not a lower-indexed member of
+    the same class.  Swapping the two is an automorphism of the parent:
+    it keeps ``high`` and maps such a ``low`` to a smaller one, whose
+    candidate is isomorphic and was met earlier.  So a skipped ``low``
+    is never its class's least mask, and the classes, their forms and
+    their order are the same as when every ``low`` is tried.
     """
     if n == 0:
         g = Graph(0, ())
         return ((g, canonical_form(g)),)
     least: dict[bytes, Graph] = {}
     for parent, _ in _classes(n - 1):
+        # (lower, higher) bits of consecutive members of each twin class
+        steps = [(1 << a, 1 << b) for twins in _twin_classes(parent)
+                 for a, b in zip(twins, twins[1:])]
         shifted = [row << 1 for row in parent.adjacency]
         for low in range(1 << (n - 1)):
+            if any(low & higher and not low & lower for lower, higher in steps):
+                continue
             rows = [low << 1]
             rows += [row | ((low >> i) & 1) for i, row in enumerate(shifted)]
             g = Graph(n, tuple(rows))
             least.setdefault(canonical_form(g), g)
     return tuple((g, form) for form, g in least.items())
+
+
+def _twin_classes(g: Graph) -> list[list[int]]:
+    """g's vertices split into twin classes, each in ascending order.
+
+    u and v are twins when N(u) \\ {v} = N(v) \\ {u}; swapping two twins
+    is an automorphism of g.  Twinship is an equivalence: if u ~ v and
+    v ~ w, every other vertex sees u, v and w alike, and uw is an edge
+    iff vw is (u ~ v) iff uv is (v ~ w), so u ~ w.  A vertex therefore
+    joins a class when it is a twin of the class's first member.
+    """
+    adj = g.adjacency
+    classes: list[list[int]] = []
+    for v in range(g.order):
+        for twins in classes:
+            u = twins[0]
+            if (adj[u] ^ adj[v]) & ~(1 << u | 1 << v) == 0:
+                twins.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
 
 
 def enumerate_graphs(n: int, dedup: bool = False,

@@ -18,8 +18,9 @@ from functools import lru_cache
 from rainbowroman import domination
 from rainbowroman.domination import (SOLVER_ORDER_CAP, RainbowAssignment,
                                      RomanAssignment, SolveResult, all_min_2rdf)
-from rainbowroman.graph import (CANONICAL_ORDER_CAP, bits, edge_mask,
-                                from_edge_mask, induced_subgraph, mask_of)
+from rainbowroman.graph import (CANONICAL_ORDER_CAP, Graph, bits,
+                                canonical_form, edge_mask, from_edge_mask,
+                                induced_subgraph, mask_of)
 from rainbowroman.structure import audit_function
 
 PRODUCT_CHECK_ORDER_CAP = 20
@@ -468,6 +469,26 @@ def canonical_form_unpruned(g) -> bytes:
 @lru_cache(maxsize=None)
 def _unpruned_form_by_mask(order: int, mask: int) -> bytes:
     return canonical_form_unpruned(from_edge_mask(order, mask))
+
+
+@lru_cache(maxsize=None)
+def classes_unpruned(n: int) -> tuple[tuple[Graph, bytes], ...]:
+    """``catalog._classes`` without its twin rule: every neighbourhood of
+    the new vertex on every order-(n - 1) class, the least mask kept per
+    canonical form.  The differential oracle for ``catalog._classes``.
+    """
+    if n == 0:
+        g = Graph(0, ())
+        return ((g, canonical_form(g)),)
+    least: dict[bytes, Graph] = {}
+    for parent, _ in classes_unpruned(n - 1):
+        shifted = [row << 1 for row in parent.adjacency]
+        for low in range(1 << (n - 1)):
+            rows = [low << 1]
+            rows += [row | ((low >> i) & 1) for i, row in enumerate(shifted)]
+            g = Graph(n, tuple(rows))
+            least.setdefault(canonical_form(g), g)
+    return tuple((g, form) for form, g in least.items())
 
 
 def has_induced_by_canonical(g, h) -> bool:

@@ -15,11 +15,48 @@ from rainbowroman.catalog import (CSV_COLUMNS, DEDUP_ORDER_CAP,
 from rainbowroman.domination import VerificationError
 from rainbowroman.graph import canonical_form, components, edge_mask
 
-from oracles import isomorphic
+from oracles import classes_unpruned, isomorphic
 
 # number of isomorphism classes of simple graphs on n vertices
 CLASS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+# candidates canonicalised at order n: every neighbourhood would be
+# 1, 1, 2, 8, 32, 176, 1088, 9984
+CANDIDATE_COUNTS = {0: 1, 1: 1, 2: 2, 3: 6, 4: 20, 5: 102, 6: 652, 7: 6412}
+
+
+def twins(g, u, v) -> bool:
+    """N(u) \\ {v} = N(v) \\ {u}, straight off the definition."""
+    def nbrs(x):
+        return {w for w in range(g.order) if g.has_edge(x, w)}
+    return nbrs(u) - {v} == nbrs(v) - {u}
+
+
+def candidates(n: int) -> int:
+    """Neighbourhoods of the new vertex that order n tries: on each class
+    of order n - 1, every one that takes no vertex without also taking
+    each lower-indexed twin of it.  The order-0 graph is the one order-0
+    candidate."""
+    if n == 0:
+        return 1
+    count = 0
+    for parent, _ in classes_unpruned(n - 1):
+        pairs = [(u, v) for v in range(n - 1) for u in range(v) if twins(parent, u, v)]
+        count += sum(1 for low in range(1 << (n - 1))
+                     if all(low >> u & 1 or not low >> v & 1 for u, v in pairs))
+    return count
+
+
+def counting_forms(monkeypatch) -> list:
+    """The graphs ``catalog`` canonicalises from now on, in call order."""
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return canonical_form(g)
+
+    monkeypatch.setattr(catalog, "canonical_form", counting)
+    return calls
 
 
 class TestEnumerate:
@@ -46,7 +83,7 @@ class TestEnumerate:
         forms = {canonical_form(g) for g in reps}
         assert len(forms) == len(reps)
 
-    @pytest.mark.parametrize("n", (4, 5))
+    @pytest.mark.parametrize("n", (4, 5, 6))
     def test_dedup_rep_has_least_mask_in_class(self, n):
         reps = {canonical_form(g): g for g in enumerate_graphs(n, dedup=True)}
         for g in enumerate_graphs(n):
@@ -57,6 +94,42 @@ class TestEnumerate:
     def test_kept_form_is_the_canonical_form_of_the_rep(self, n):
         for g, form in catalog._classes(n):
             assert form == canonical_form(g)
+
+    @pytest.mark.parametrize("n", sorted(CLASS_COUNTS))
+    def test_classes_match_unpruned(self, n):
+        assert [(g.adjacency, form) for g, form in catalog._classes(n)] == \
+            [(g.adjacency, form) for g, form in classes_unpruned(n)]
+
+    @pytest.mark.parametrize("n", sorted(CANDIDATE_COUNTS))
+    def test_candidate_count(self, n, monkeypatch):
+        catalog._classes.cache_clear()
+        if n:
+            catalog._classes(n - 1)
+        calls = counting_forms(monkeypatch)
+        catalog._classes(n)
+        assert len(calls) == candidates(n) == CANDIDATE_COUNTS[n]
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_twin_classes_are_maximal_sets_of_twins(self, n):
+        for g, _ in catalog._classes(n):
+            classes = catalog._twin_classes(g)
+            assert sorted(v for c in classes for v in c) == list(range(n))
+            where = {v: i for i, c in enumerate(classes) for v in c}
+            for c in classes:
+                assert c == sorted(c)
+            for v in range(n):
+                for u in range(v):
+                    assert twins(g, u, v) == (where[u] == where[v])
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_swapping_twins_keeps_the_edge_mask(self, n):
+        for g, _ in catalog._classes(n):
+            for c in catalog._twin_classes(g):
+                for i, u in enumerate(c):
+                    for v in c[i + 1:]:
+                        perm = list(range(n))
+                        perm[u], perm[v] = v, u
+                        assert edge_mask(g, perm) == edge_mask(g, range(n))
 
     def test_order_7_masks_pinned(self):
         masks = ",".join(str(edge_mask(g, range(7)))
@@ -97,19 +170,10 @@ class TestRandomGraphs:
 
 class TestScan:
     def test_one_canonical_form_per_candidate_and_sample(self, monkeypatch):
-        # order n tries every neighbourhood of a new vertex on each class
-        # of order n - 1; the order-0 graph is the one order-0 candidate
-        candidates = 1 + sum(CLASS_COUNTS[n - 1] << (n - 1) for n in range(1, 7))
-        calls = []
-
-        def counting(g):
-            calls.append(g)
-            return canonical_form(g)
-
         catalog._classes.cache_clear()
-        monkeypatch.setattr(catalog, "canonical_form", counting)
+        calls = counting_forms(monkeypatch)
         scan(6, sample=(10, 20, 4))
-        assert len(calls) == candidates + 20 == 1328
+        assert len(calls) == sum(candidates(n) for n in range(7)) + 20 == 804
 
     def test_exhaustive_row_set(self):
         report = scan(4)
