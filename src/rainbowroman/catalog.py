@@ -7,10 +7,10 @@ per isomorphism class, the least edge mask, built from the order-(n-1)
 representatives by adding vertex 0 and keeping the least mask per
 canonical form (vertex augmentation as in McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998).  Swapping two twins
-of a parent is an automorphism, so neighbourhoods that differ only in
-which members of a twin class they take give isomorphic graphs; of
-those, only the one taking the lowest-indexed members is tried.  Each
-class keeps its canonical form, which the scan reports.
+of a parent is an automorphism, so a new vertex's neighbourhood that
+takes a parent vertex without its lower twins (:func:`graph.lower_twins`)
+repeats a smaller one and is skipped.  Each class keeps its canonical
+form, which the scan reports.
 
 The scan solves both parameters over the deduplicated catalogue up to a
 requested order, plus an optional seeded random sample at a larger
@@ -33,7 +33,8 @@ from typing import Iterator, NamedTuple
 
 from .domination import VerificationError
 from .graph import (CANONICAL_ORDER_CAP, Graph, bits, canonical_form,
-                    components, connected, edge_mask, from_edge_mask)
+                    components, connected, edge_mask, from_edge_mask,
+                    lower_twins)
 from .hereditary import (EQUALITY_FAMILY, THREE_HALVES_FAMILY, is_free,
                          solve_both_cached)
 from .rng import SplitMix64
@@ -65,53 +66,28 @@ def _classes(n: int) -> tuple[tuple[Graph, bytes], ...]:
     its parent's: vertex 0 is adjacent to vertex j iff bit j - 1 of
     ``low`` is set, and vertex i + 1 is the parent's vertex i.
 
-    The walk skips every ``low`` that takes a member of a parent's twin
-    class (see :func:`_twin_classes`) but not a lower-indexed member of
-    the same class.  Swapping the two is an automorphism of the parent:
-    it keeps ``high`` and maps such a ``low`` to a smaller one, whose
-    candidate is isomorphic and was met earlier.  So a skipped ``low``
-    is never its class's least mask, and the classes, their forms and
-    their order are the same as when every ``low`` is tried.
+    The walk skips every ``low`` that takes a parent vertex v without
+    each of its lower twins (:func:`graph.lower_twins`): for such a twin
+    u, swapping u and v is an automorphism of the parent that keeps
+    ``high`` and maps ``low`` to a smaller one, met earlier.  So a skipped
+    ``low`` is never its class's least mask, and the classes, their forms
+    and their order are those of a walk over every ``low``.
     """
     if n == 0:
         g = Graph(0, ())
         return ((g, canonical_form(g)),)
     least: dict[bytes, Graph] = {}
     for parent, _ in _classes(n - 1):
-        # (lower, higher) bits of consecutive members of each twin class
-        steps = [(1 << a, 1 << b) for twins in _twin_classes(parent)
-                 for a, b in zip(twins, twins[1:])]
+        needs = [(1 << v, twins) for v, twins in enumerate(lower_twins(parent)) if twins]
         shifted = [row << 1 for row in parent.adjacency]
         for low in range(1 << (n - 1)):
-            if any(low & higher and not low & lower for lower, higher in steps):
+            if any(low & bit and twins & ~low for bit, twins in needs):
                 continue
             rows = [low << 1]
             rows += [row | ((low >> i) & 1) for i, row in enumerate(shifted)]
             g = Graph(n, tuple(rows))
             least.setdefault(canonical_form(g), g)
     return tuple((g, form) for form, g in least.items())
-
-
-def _twin_classes(g: Graph) -> list[list[int]]:
-    """g's vertices split into twin classes, each in ascending order.
-
-    u and v are twins when N(u) \\ {v} = N(v) \\ {u}; swapping two twins
-    is an automorphism of g.  Twinship is an equivalence: if u ~ v and
-    v ~ w, every other vertex sees u, v and w alike, and uw is an edge
-    iff vw is (u ~ v) iff uv is (v ~ w), so u ~ w.  A vertex therefore
-    joins a class when it is a twin of the class's first member.
-    """
-    adj = g.adjacency
-    classes: list[list[int]] = []
-    for v in range(g.order):
-        for twins in classes:
-            u = twins[0]
-            if (adj[u] ^ adj[v]) & ~(1 << u | 1 << v) == 0:
-                twins.append(v)
-                break
-        else:
-            classes.append([v])
-    return classes
 
 
 def enumerate_graphs(n: int, dedup: bool = False,

@@ -5,6 +5,10 @@ per vertex, so neighbourhood unions, intersections, and containment tests
 are single integer operations.  Vertex subsets are plain ints with bit v
 standing for vertex v.  Everything else in the package builds on these
 rows; order is capped only where an operation's cost demands it.
+
+Swapping two twins is an automorphism, so the searches that prune by
+symmetry, here and in ``catalog``, try a vertex only after its
+lower-indexed twins, which :func:`lower_twins` lists.
 """
 
 from __future__ import annotations
@@ -324,6 +328,26 @@ def from_edge_mask(n: int, mask: int) -> Graph:
     return graph_from_edges(n, (pairs[i] for i in bits(mask)))
 
 
+def lower_twins(g: Graph) -> list[int]:
+    """For each vertex v, the mask of its twins u < v.
+
+    u and v are twins when N(u) \\ {v} = N(v) \\ {u}, so swapping them is
+    an automorphism of g.  Non-adjacent twins share their open row,
+    N(u) = N(v), and adjacent twins their closed row, N[u] = N[v].
+    """
+    lower = []
+    by_open: dict[int, int] = {}
+    by_closed: dict[int, int] = {}
+    for v, row in enumerate(g.adjacency):
+        bit = 1 << v
+        same_open = by_open.get(row, 0)
+        same_closed = by_closed.get(row | bit, 0)
+        lower.append(same_open | same_closed)
+        by_open[row] = same_open | bit
+        by_closed[row | bit] = same_closed | bit
+    return lower
+
+
 def canonical_form(g: Graph) -> bytes:
     """Isomorphism-invariant byte string for graphs of order <= 10.
 
@@ -334,14 +358,13 @@ def canonical_form(g: Graph) -> bytes:
     itself an isomorphism invariant) and prunes most of the n! search; a
     prefix comparison against the incumbent prunes the rest.
 
-    Twins are explored once per level.  If two unplaced candidates u and
-    v satisfy N(u) \\ {v} = N(v) \\ {u}, swapping them is an automorphism
+    A vertex is placed only after each of its lower-indexed twins (see
+    :func:`lower_twins`).  Swapping two unplaced twins is an automorphism
     that fixes every placed vertex, so it maps the orderings that place
-    v next onto those that place u next with the same column sequences.
-    The subtree of whichever comes later in candidate order therefore
-    holds no encoding the earlier one lacks, and is skipped; the form
-    stays the same, and symmetric graphs such as the edgeless one no
-    longer walk every ordering of their tied vertices.
+    the higher one next onto orderings that place the lower one next,
+    with the same column sequences; so the form stays the same, and
+    symmetric graphs such as the edgeless one do not walk every ordering
+    of their tied vertices.
     """
     n = g.order
     if n > CANONICAL_ORDER_CAP:
@@ -349,6 +372,7 @@ def canonical_form(g: Graph) -> bytes:
     if n == 0:
         return bytes([0])
     adj = g.adjacency
+    lower = lower_twins(g)
     deg = [row.bit_count() for row in adj]
     required = sorted(deg)
     by_degree: dict[int, list[int]] = {}
@@ -366,7 +390,7 @@ def canonical_form(g: Graph) -> bytes:
             return
         cands = []
         for v in by_degree[required[k]]:
-            if (used >> v) & 1:
+            if (used >> v) & 1 or lower[v] & ~used:
                 continue
             col = 0
             row = adj[v]
@@ -374,23 +398,17 @@ def canonical_form(g: Graph) -> bytes:
                 col |= ((row >> stack[j]) & 1) << j
             cands.append((col, v))
         cands.sort()
-        explored: list[int] = []
         for col, v in cands:
             if col > best[k]:
                 break  # candidates are sorted: the rest are no better
-            for u in explored:
-                if (adj[u] ^ adj[v]) & ~(1 << u | 1 << v) == 0:
-                    break  # a twin of an explored sibling: skip its subtree
-            else:
-                explored.append(v)
-                if col < best[k]:
-                    best[k] = col
-                    for j in range(k + 1, n):
-                        best[j] = big
-                cols[k] = col
-                stack.append(v)
-                extend(k + 1, used | (1 << v))
-                stack.pop()
+            if col < best[k]:
+                best[k] = col
+                for j in range(k + 1, n):
+                    best[j] = big
+            cols[k] = col
+            stack.append(v)
+            extend(k + 1, used | (1 << v))
+            stack.pop()
 
     extend(0, 0)
     enc = 0

@@ -79,8 +79,8 @@ def _gadget_order(num_vars: int, num_clauses: int) -> int:
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF: 'c' comments, 'p cnf n m' header, 0-terminated clauses.
 
-    A header whose gadget would exceed order :data:`graph.MAX_ORDER` is
-    rejected at that line, before any clause is read.
+    A header with n < 1, m < 0 or a gadget above :data:`graph.MAX_ORDER`
+    is rejected at that line, before any clause is read.
     """
     header: tuple[int, int] | None = None
     tokens: list[int] = []
@@ -98,6 +98,8 @@ def parse_dimacs(text: str) -> CnfFormula:
                 header = (int(fields[2]), int(fields[3]))
             except ValueError:
                 raise DimacsError(f"line {lineno}: header must be 'p cnf n m'") from None
+            if header[0] < 1 or header[1] < 0:
+                raise DimacsError(f"line {lineno}: header needs n >= 1 and m >= 0")
             try:
                 _gadget_order(*header)
             except ValueError as exc:

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .domination import (RainbowAssignment, _all_min_at, _check_order,
-                         _each_min_2rdf, format_rainbow)
+from .domination import (RainbowAssignment, _all_min_at, _check_all_min_order,
+                         _check_order, _each_min_2rdf, format_rainbow)
 from .graph import Graph, bits
 from .hereditary import solve_both_cached
 
@@ -108,10 +108,11 @@ def audit_extremal(g: Graph) -> list[StructureAudit]:
     """Audit every minimum 2-rainbow function of an extremal graph, in
     lexicographic code order.
 
-    Rejects non-extremal input outright so a missing precondition never
-    masquerades as a structural finding.  The functions are enumerated
-    at the gamma_r2 that :func:`is_extremal` memoized.
+    Rejects input above order 16 before any solve, and non-extremal input
+    so a missing precondition never masquerades as a structural finding.
+    The functions are enumerated at the memoized gamma_r2.
     """
+    _check_all_min_order(g)
     if not is_extremal(g):
         raise ValueError("graph is not extremal: 2*gamma_R != 3*gamma_r2")
     value = solve_both_cached(g)[0].value
@@ -128,8 +129,9 @@ def audit_summary(g: Graph) -> tuple[int, bool]:
 
     gamma_r2 is read from :func:`solve_both_cached`: on a graph not yet
     in its memo, that solves both gamma_r2 and gamma_R and keeps them.
-    Raises ValueError above order 16, once the graph is solved.
+    Raises ValueError above order 16, before any solve.
     """
+    _check_all_min_order(g)
     count = 0
     all_pass = True
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -13,7 +14,9 @@ from rainbowroman.catalog import (CSV_COLUMNS, DEDUP_ORDER_CAP,
                                   SCAN_ORDER_CAP, enumerate_graphs,
                                   random_graphs, scan)
 from rainbowroman.domination import VerificationError
-from rainbowroman.graph import canonical_form, components, edge_mask
+from rainbowroman.graph import (bits, canonical_form, components, edge_mask,
+                                graph_from_edges, lower_twins)
+from rainbowroman.rng import SplitMix64
 
 from oracles import classes_unpruned, isomorphic
 
@@ -45,6 +48,17 @@ def candidates(n: int) -> int:
         count += sum(1 for low in range(1 << (n - 1))
                      if all(low >> u & 1 or not low >> v & 1 for u, v in pairs))
     return count
+
+
+def twin_test_graphs(n: int) -> list:
+    """Every class of order n <= 6; above that, 220 seeded graphs whose
+    edge densities run from 0 to 1 in steps of a tenth."""
+    if n <= 6:
+        return [g for g, _ in catalog._classes(n)]
+    rng = SplitMix64(n)
+    pairs = list(itertools.combinations(range(n), 2))
+    return [graph_from_edges(n, (p for p in pairs if rng.next_below(10) < tenths))
+            for tenths in range(11) for _ in range(20)]
 
 
 def counting_forms(monkeypatch) -> list:
@@ -109,27 +123,21 @@ class TestEnumerate:
         catalog._classes(n)
         assert len(calls) == candidates(n) == CANDIDATE_COUNTS[n]
 
-    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("n", range(11))
     def test_twin_classes_are_maximal_sets_of_twins(self, n):
-        for g, _ in catalog._classes(n):
-            classes = catalog._twin_classes(g)
-            assert sorted(v for c in classes for v in c) == list(range(n))
-            where = {v: i for i, c in enumerate(classes) for v in c}
-            for c in classes:
-                assert c == sorted(c)
+        for g in twin_test_graphs(n):
+            lower = lower_twins(g)
             for v in range(n):
-                for u in range(v):
-                    assert twins(g, u, v) == (where[u] == where[v])
+                assert lower[v] == sum(1 << u for u in range(v) if twins(g, u, v))
 
-    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("n", range(11))
     def test_swapping_twins_keeps_the_edge_mask(self, n):
-        for g, _ in catalog._classes(n):
-            for c in catalog._twin_classes(g):
-                for i, u in enumerate(c):
-                    for v in c[i + 1:]:
-                        perm = list(range(n))
-                        perm[u], perm[v] = v, u
-                        assert edge_mask(g, perm) == edge_mask(g, range(n))
+        for g in twin_test_graphs(n):
+            for v, lower in enumerate(lower_twins(g)):
+                for u in bits(lower):
+                    perm = list(range(n))
+                    perm[u], perm[v] = v, u
+                    assert edge_mask(g, perm) == edge_mask(g, range(n))
 
     def test_order_7_masks_pinned(self):
         masks = ",".join(str(edge_mask(g, range(7)))

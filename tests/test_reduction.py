@@ -81,6 +81,14 @@ class TestDimacs:
                            match=f"line 2: the gadget would have order {order}"):
             parse_dimacs(f"c comment\n{header}\nnot a clause\n")
 
+    @pytest.mark.parametrize("header", [
+        "p cnf 1000000000 -3999999990", "p cnf 30 -100", "p cnf 0 1", "p cnf -2 3",
+    ])
+    def test_bad_counts_at_header(self, header):
+        # the bad clause after the header is never reached
+        with pytest.raises(DimacsError, match="line 2: header needs n >= 1 and m >= 0"):
+            parse_dimacs(f"c comment\n{header}\nnot a clause\n")
+
     def test_largest_gadget_passes(self):
         f = parse_dimacs("p cnf 14 5\n1 0\n2 0\n3 0\n4 0\n5 0\n")
         assert build_reduction(f).graph.order == 64

@@ -122,6 +122,15 @@ class TestAuditExtremal:
         with pytest.raises(ValueError, match="capped at order 16"):
             audit_summary(star_graph(16))
 
+    @pytest.mark.parametrize("audit", [audit_summary, audit_extremal])
+    def test_cap_before_any_solve(self, audit, monkeypatch):
+        def no_solve(g):
+            raise AssertionError("solved before the order cap was checked")
+
+        monkeypatch.setattr(structure, "solve_both_cached", no_solve)
+        with pytest.raises(ValueError, match="capped at order 16"):
+            audit(star_graph(16))
+
     def test_summary_on_non_extremal(self):
         count, all_pass = audit_summary(complete_graph(1))
         assert count == 2
