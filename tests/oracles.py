@@ -4,18 +4,23 @@ Everything here is written straight off the definitions: enumerate all
 4^n color-set assignments or 3^n Roman assignments, test validity with
 explicit loops, try all n! bijections for isomorphism, and try all 2^n
 truth assignments for satisfiability.  Slow on purpose; trusted because
-there is nothing in them to get wrong.  Solvers the package replaced
-stay here too, as differential oracles for their replacements.
+there is nothing in them to get wrong.  Solvers the package replaced,
+and the argparse command-line front end, stay here too, as differential
+oracles for their replacements.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
 from rainbowroman import domination
+from rainbowroman.cli import (_cmd_construct, _cmd_convert, _cmd_recognize,
+                             _cmd_reduce, _cmd_scan, _cmd_solve, _cmd_structure)
 from rainbowroman.domination import (SOLVER_ORDER_CAP, RainbowAssignment,
                                      RomanAssignment, SolveResult, all_min_2rdf)
 from rainbowroman.graph import (CANONICAL_ORDER_CAP, Graph, bits,
@@ -581,3 +586,71 @@ def audit_summary_by_listing(g) -> tuple[int, bool]:
     differential oracle for the one-search count and audit."""
     functions = all_min_2rdf(g)
     return len(functions), all(audit_function(g, f).all_pass() for f in functions)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse exits with 2 on usage errors; this artifact reserves 2
+    for violated identities, so usage errors exit 1 instead."""
+
+    def error(self, message: str) -> None:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def argparse_parser() -> _Parser:
+    """The argparse front end the command table replaced, as it stood: the
+    oracle its parser is checked against."""
+    parser = _Parser(prog="rainbowroman",
+                     description="Exact 2-rainbow and Roman domination toolkit")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("solve", help="solve one or both parameters exactly")
+    p.add_argument("graph", help="edge-list file")
+    p.add_argument("--param", choices=("r2", "roman", "both"), default="both")
+    p.add_argument("--witness", action="store_true",
+                   help="include an optimal assignment per parameter")
+    p.add_argument("--all-min", action="store_true",
+                   help="list every minimum 2-rainbow function")
+    p.set_defaults(func=_cmd_solve)
+
+    p = sub.add_parser("convert", help="convert between the two assignments")
+    p.add_argument("graph", help="edge-list file")
+    p.add_argument("assignment", help="comma-separated token string")
+    p.add_argument("--direction", required=True,
+                   choices=("roman-to-r2", "r2-to-roman"))
+    p.set_defaults(func=_cmd_convert)
+
+    p = sub.add_parser("reduce", help="build the satisfiability gadget")
+    p.add_argument("cnf", help="DIMACS CNF file")
+    p.add_argument("--out", help="write the gadget as an edge-list file")
+    p.add_argument("--check", action="store_true",
+                   help="solve the gadget and verify every identity")
+    p.set_defaults(func=_cmd_reduce)
+
+    p = sub.add_parser("recognize", help="forbidden-family membership")
+    p.add_argument("graph", help="edge-list file")
+    p.add_argument("--family", nargs="+", required=True,
+                   help="theorem2, theorem3, or edge-list files")
+    p.add_argument("--hereditary-direct", action="store_true",
+                   help="cross-check by solving every induced subgraph")
+    p.add_argument("--gk", type=int, default=None,
+                   help="threshold for the three-halves check (default 3)")
+    p.set_defaults(func=_cmd_recognize)
+
+    p = sub.add_parser("structure", help="extremal check plus minimum-function audit")
+    p.add_argument("graph", help="edge-list file")
+    p.set_defaults(func=_cmd_structure)
+
+    p = sub.add_parser("construct", help="gap-shifting constructions")
+    p.add_argument("--op", required=True, choices=("add-c4", "star-link", "gap-k"))
+    p.add_argument("--k", type=int, default=None, help="target gap for gap-k")
+    p.add_argument("graph", nargs="?", default=None, help="edge-list file")
+    p.set_defaults(func=_cmd_construct)
+
+    p = sub.add_parser("scan", help="exhaustive catalogue report")
+    p.add_argument("--max-order", type=int, required=True)
+    p.add_argument("--sample", default=None, metavar="ORDER,COUNT,SEED")
+    p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+    p.set_defaults(func=_cmd_scan)
+
+    return parser

@@ -302,6 +302,12 @@ class TestStructure:
         assert payload["extremal"] is False
         assert payload["functions"] is None
 
+    def test_cap_checked_before_solving(self, capsys, monkeypatch, tmp_path):
+        refuse_search(monkeypatch, hereditary, "solve_both_cached")
+        code, out, err = run(capsys, "structure", edgeless(tmp_path, 17))
+        assert code == 1 and out == ""
+        assert "capped at order 16" in err
+
     def test_failed_audit_exits_2(self, capsys, monkeypatch):
         fake = types.SimpleNamespace(to_json_dict=lambda: {"assignment": "x"},
                                      all_pass=lambda: False)

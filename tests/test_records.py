@@ -113,6 +113,10 @@ def test_bad_input_is_rejected(build, message):
     assert str(error.value) == message
 
 
+# the modules that argparse brought into every CLI process
+ARGPARSE = ("argparse", "gettext", "locale")
+
+
 def test_cli_import_is_lean_and_eager():
     # perfbench's traced replay wraps functions in these modules, so
     # importing the CLI must load them all
@@ -128,5 +132,22 @@ def test_cli_import_is_lean_and_eager():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     added = set(proc.stdout.split())
-    assert "dataclasses" not in added and "inspect" not in added
+    assert not added & {"dataclasses", "inspect", *ARGPARSE}
     assert {f"rainbowroman.{m}" for m in wrapped} <= added
+
+
+def test_solve_runs_without_argparse(tmp_path):
+    # -S keeps .pth hooks from importing these before the package does
+    k1 = tmp_path / "k1.el"
+    k1.write_text("1 0\n")
+    src = str(Path(rainbowroman.__file__).resolve().parents[1])
+    script = ("import sys\n"
+              f"sys.path.insert(0, {src!r})\n"
+              "from rainbowroman.cli import main\n"
+              f"code = main(['solve', {str(k1)!r}])\n"
+              f"print(sorted(set({ARGPARSE!r}) & set(sys.modules)))\n"
+              "raise SystemExit(code)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == '{"gamma_r2":1,"gamma_R":1}\n[]\n'
