@@ -24,7 +24,6 @@ arguments.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -215,6 +214,8 @@ class GapReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
+        import csv  # here, so that a JSONL scan does not load it
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)

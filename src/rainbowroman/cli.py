@@ -394,6 +394,7 @@ def _parse(argv: list[str]):
     kinds = [_classify(token, (*_HELP, *options), usage, prog) for token in rest[:end]]
     kinds += ["--"] + [None] * (len(rest) - end - 1) if end < len(rest) else []
     filled = run = 0  # positionals filled, and filled since the last option
+    swallowed = None  # (list option, its values) once one takes more than one
     i = 0
     while i < len(rest):
         token, found = rest[i], kinds[i]
@@ -438,6 +439,8 @@ def _parse(argv: list[str]):
             if not values:
                 _fail(usage, prog, f"argument {name}: expected "
                       f"{'at least one argument' if kind == 'list' else 'one argument'}")
+            if len(values) > 1:
+                swallowed = name, values
         if kind == "int":
             try:
                 values = [int(values[0])]
@@ -452,7 +455,14 @@ def _parse(argv: list[str]):
     missing = [name for name, _, default, _ in arguments
                if default is _REQUIRED and getattr(args, _dest(name)) is None]
     if missing:
-        _fail(usage, prog, f"the following arguments are required: {', '.join(missing)}")
+        message = f"the following arguments are required: {', '.join(missing)}"
+        lost = [name for name in missing if name in positionals]
+        if lost and swallowed:
+            # a list option takes every positional after it, the one missing too
+            name, values = swallowed
+            message += (f" ({name} took all of {' '.join(values)}; "
+                        f"give the {lost[0]} before {name})")
+        _fail(usage, prog, message)
     if unknown:
         _fail(usage, prog, f"unrecognized arguments: {' '.join(unknown)}")
     return handler, args

@@ -207,36 +207,29 @@ def _prism_bound(n: int, scan: list[tuple[int, int, int, int]], demand: int,
     return count
 
 
-def _ratio_bound(offers: list[tuple[int, int]], demand: int, budget: int) -> int | None:
-    """Admissible set-cover lower bound on the weight still to be added.
+_Ranking = list[tuple[float, int, int]]
 
-    ``offers`` holds one ``(weight, reach)`` pair per nonempty label and
-    undecided vertex x: the label's weight and the demand bits it would
-    meet if placed on x, x's own two plus the colors it shows to x's
-    neighbours.  Each unmet demand is charged the least ``weight /
-    |unmet demands the label would meet|`` over the offers that meet it,
-    found by sweeping the offers in ascending ratio.  Any completion
-    covers every demand, and a label it places pays exactly the charges
-    of the demands it meets at its own ratio, which is at least their
-    least ratio; so the sum of charges is at most the weight still to
-    come, and since weights are integers so is its ceiling.  The sum is
-    taken in floats: it has at most 2n <= 128 terms and is at most 4n <=
-    256, since no charge exceeds 2, so its rounding error stays below
-    1e-11; subtracting 1e-9 before the ceiling can then only lower the
-    bound.  Returns None when some demand has no possible supplier.
 
-    ``budget`` is the weight the branch may still add.  The running
-    charge only grows, so once it, less the 1e-9, exceeds the budget the
-    branch is cut whatever the rest of the sweep finds, a demand without
-    supplier included; the ceiling of the charge so far is returned then,
-    and it too exceeds the budget.  Whenever the full bound is at most
-    the budget, it is returned unchanged.
-    """
-    ranked = [(weight / met.bit_count(), met)
-              for weight, reach in offers if (met := demand & reach)]
+def _rank(offers: list[tuple[int, int]], demand: int, start: int = 0) -> _Ranking:
+    """The offers ``offers[start:]`` that meet some of ``demand``, as
+    ``(ratio, met, j)`` in ascending order: ``met`` the demand bits the
+    offer meets, ``ratio`` its weight / |met| and ``j`` its index in
+    ``offers``.  :func:`_sweep` reads the result."""
+    ranked = [(weight / met.bit_count(), met, j)
+              for j, (weight, reach) in enumerate(offers[start:], start)
+              if (met := demand & reach)]
     ranked.sort()
+    return ranked
+
+
+def _sweep(ranked: _Ranking, demand: int, budget: int, start: int = 0) -> int | None:
+    """The ratio bound of :func:`_ratio_bound` from a ranking of
+    :func:`_rank` made for this same ``demand``, counting only the
+    entries whose index is at least ``start``."""
     total = 0.0
-    for ratio, met in ranked:
+    for ratio, met, j in ranked:
+        if j < start:
+            continue
         met &= demand
         if met:
             total += ratio * met.bit_count()
@@ -248,6 +241,35 @@ def _ratio_bound(offers: list[tuple[int, int]], demand: int, budget: int) -> int
     if demand:
         return None
     return math.ceil(total - 1e-9)
+
+
+def _ratio_bound(offers: list[tuple[int, int]], demand: int, budget: int) -> int | None:
+    """Admissible set-cover lower bound on the weight still to be added.
+
+    ``offers`` holds one ``(weight, reach)`` pair per nonempty label and
+    undecided vertex x: the label's weight and the demand bits it would
+    meet if placed on x, x's own two plus the colors it shows to x's
+    neighbours.  Each unmet demand is charged the least ``weight /
+    |unmet demands the label would meet|`` over the offers that meet it,
+    found by sweeping the offers in ascending ratio (:func:`_rank`, then
+    :func:`_sweep`).  Any completion covers every demand, and a label it
+    places pays exactly the charges of the demands it meets at its own
+    ratio, which is at least their least ratio; so the sum of charges is
+    at most the weight still to come, and since weights are integers so
+    is its ceiling.  The sum is taken in floats: it has at most 2n <= 128
+    terms and is at most 4n <= 256, since no charge exceeds 2, so its
+    rounding error stays below 1e-11; subtracting 1e-9 before the
+    ceiling can then only lower the bound.  Returns None when some
+    demand has no possible supplier.
+
+    ``budget`` is the weight the branch may still add.  The running
+    charge only grows, so once it, less the 1e-9, exceeds the budget the
+    branch is cut whatever the rest of the sweep finds, a demand without
+    supplier included; the ceiling of the charge so far is returned then,
+    and it too exceeds the budget.  Whenever the full bound is at most
+    the budget, it is returned unchanged.
+    """
+    return _sweep(_rank(offers, demand), demand, budget)
 
 
 _Leaf = Callable[[list[int], int], int]
@@ -268,28 +290,43 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
     0 is the one label that must be dominated, by both colors.  Vertices
     are decided in descending-degree order (ties by index).  A branch is
     cut when its weight exceeds ``limit``, or when its weight plus
-    :func:`_prism_bound` or, failing that, :func:`_ratio_bound` does, or
-    when either bound finds an empty vertex that can no longer be
-    dominated.  Every complete assignment reached is a dominating
-    function of weight at most ``limit``; it goes to ``leaf(codes,
-    weight)``, which returns the limit for the rest of the search, -1 to
-    stop it.  ``codes`` is the live list, so a leaf that keeps it must
-    copy it.
+    :func:`_prism_bound` or :func:`_ratio_bound` does, or when either
+    bound finds an empty vertex that can no longer be dominated.  Every
+    complete assignment reached is a dominating function of weight at
+    most ``limit``; it goes to ``leaf(codes, weight)``, which returns the
+    limit for the rest of the search, -1 to stop it.  ``codes`` is the
+    live list, so a leaf that keeps it must copy it.
 
     The offer table of :func:`_ratio_bound` is built once, flat and in
     branch order: k pairs per vertex, one per nonempty label (k = 3 for
     the rainbow table, 2 for the Roman one).  The vertices still
     undecided below depth d are exactly ``branch[d + 1:]``, so a child at
-    depth d reads the suffix ``offers[(d + 1) * k:]``, and the root reads
-    the whole table.  Both bounds get the budget ``limit`` less the
-    branch's weight and stop once their running total exceeds it; the
-    root passes 4n, which no bound exceeds.  Neither changes what the
-    search does.  The sorted ratio list does not depend on the order its
-    entries were built in, so every ratio bound, float total included,
-    is what a walk over the undecided vertices in index order gives; and
-    a bound stops early only where its full value, or None, would cut
-    the branch too.  So every pass visits the same nodes in the same
-    order and reaches the same first leaf.
+    depth d ranks the suffix ``offers[(d + 1) * k:]`` with :func:`_rank`
+    and sweeps it with :func:`_sweep`, and the root ranks the whole
+    table.  Both bounds get the budget ``limit`` less the branch's weight
+    and stop once their running total exceeds it; the root passes 4n,
+    which no bound exceeds.  Neither changes what the search does.  A
+    ranking is sorted on ``(ratio, met, j)``; of the entries that tie on
+    ``(ratio, met)`` only the first meets any demand in the sweep, so
+    every ratio bound, float total included, is what a walk over the
+    undecided vertices in index order gives; and a bound stops early
+    only where its full value, or None, would cut the branch too.  So
+    every pass visits the same nodes in the same order and reaches the
+    same first leaf.
+
+    A child that leaves v = ``branch[d]`` empty keeps its parent's demand
+    exactly: v moves from undecided to empty, and the empty label shows
+    nothing.  So it ranks nothing: it sweeps the ranking its parent was
+    given, skipping the entries of index below (d + 1) * k, v's own k
+    offers and those of the vertices decided above it, and a chain of
+    empty children shares one list; at most one ranking per depth is
+    kept.  The bound is bit-identical to a fresh one.  With the same
+    demand each entry kept is the ``(ratio, met, j)`` that a fresh
+    ranking of the suffix would build, and a sorted list with entries
+    left out is still sorted, so the sweep reads the fresh ranking entry
+    for entry.  Such a child takes this cheap sweep before
+    :func:`_prism_bound`, every other child after it; a branch is cut
+    when either bound cuts, so the order changes no node.
 
     Swapping colors 1 and 2 maps a 2-rainbow dominating function to one
     of the same weight, so the search reaches one function of each such
@@ -321,21 +358,23 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
     every_demand = everyone | everyone << n
     # with every vertex undecided each demand has its own rung as supplier,
     # so neither bound is None here, and none exceeds 4n
+    ranked = _rank(offers, every_demand)
     root = max(_prism_bound(n, scan, every_demand, everyone, 4 * n),
-               _ratio_bound(offers, every_demand, 4 * n))
+               _sweep(ranked, every_demand, 4 * n))
     codes = [0] * n
 
     def run(limit: int, leaf: _Leaf) -> int:
         nodes = 0
 
         def descend(depth: int, weight: int, undecided: int, empties: int,
-                    shown: int, opened: bool) -> None:
+                    shown: int, opened: bool, ranked: _Ranking) -> None:
             nonlocal limit, nodes
             if depth == n:
                 limit = leaf(codes, weight)
                 return
             v = branch[depth]
             remaining = undecided & ~(1 << v)
+            start = (depth + 1) * k
             for code, cost, shows in labels if opened else opening:
                 w = weight + cost
                 if w > limit:
@@ -346,18 +385,25 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
                 now_shown = shown | shown_to[v][shows]
                 pending = remaining | now_empty
                 demand = (pending | pending << n) & ~now_shown
+                ranking = ranked  # the empty child's: its demand is its parent's
                 if demand:
                     budget = limit - w
-                    bound = _prism_bound(n, scan, demand, remaining, budget)
+                    if code:
+                        bound = _prism_bound(n, scan, demand, remaining, budget)
+                        if bound is None or bound > budget:
+                            continue
+                        ranking = _rank(offers, demand, start)
+                    bound = _sweep(ranking, demand, budget, start)
                     if bound is None or bound > budget:
                         continue
-                    bound = _ratio_bound(offers[(depth + 1) * k:], demand, budget)
-                    if bound is None or bound > budget:
-                        continue
+                    if not code:
+                        bound = _prism_bound(n, scan, demand, remaining, budget)
+                        if bound is None or bound > budget:
+                            continue
                 descend(depth + 1, w, remaining, now_empty, now_shown,
-                        opened or shows == 1)
+                        opened or shows == 1, ranking)
 
-        descend(0, 0, everyone, 0, 0, False)
+        descend(0, 0, everyone, 0, 0, False, ranked)
         return nodes
 
     return root, run

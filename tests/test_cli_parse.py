@@ -216,6 +216,19 @@ def test_refusals(argv):
     assert_same(argv)
 
 
+def test_a_list_option_that_took_the_graph_is_named():
+    # --family takes every positional after it, the graph too
+    argv = ["recognize", "--family", "theorem2", "g.el"]
+    got, out, err = outcome(by_table, argv)
+    assert got == ("exit", 1) and out == ""
+    assert "required: graph (--family took all of theorem2 g.el; " \
+           "give the graph before --family)" in err
+    assert_same(argv)
+    # one value taken: the graph was left out, not swallowed
+    got, _, err = outcome(by_table, ["recognize", "--family", "theorem2"])
+    assert got == ("exit", 1) and err.endswith("required: graph\n")
+
+
 def test_a_value_given_as_a_double_dash_is_kept():
     # argparse stripped it and stored an empty list, skipping the choices
     # check (so that `scan --sample=--` crashed in the handler)

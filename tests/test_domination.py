@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 import time
 
 import pytest
@@ -418,17 +419,47 @@ def bound_corpus():
 
 @pytest.fixture(scope="module")
 def bound_calls():
-    """Every call the solvers make to either bound on ``bound_corpus()``, as
-    ``(arguments, result, optimum)`` per bound name."""
-    calls = {"_prism_bound": [], "_ratio_bound": []}
+    """Every bound the solvers take on ``bound_corpus()``, as ``(arguments,
+    result, optimum)`` per bound name.
+
+    The search takes each ratio bound as a ``_sweep`` of a ranking: one that
+    ``_rank`` has just made, or, at a child that leaves its vertex empty,
+    the one its parent was given.  Each sweep is recorded under
+    ``"_ratio_bound"`` with the arguments of the fresh ``_ratio_bound`` it
+    stands for, ``(offers[(depth + 1) * k:], demand, budget)``, or the whole
+    table at the root.  ``offers``, ``depth`` and ``k`` are read from the
+    calling frame of ``_search``, so the record does not depend on the
+    cutoff the sweep was given.  The sweeps of a parent's ranking are
+    recorded under ``"reused"`` too."""
+    calls = {"_prism_bound": [], "_ratio_bound": [], "reused": []}
     current = {name: [] for name in calls}
+    fresh = []
+
+    def prism(*args, bound=domination._prism_bound):
+        result = bound(*args)
+        current["_prism_bound"].append((args, result))
+        return result
+
+    def rank(*args, real=domination._rank):
+        fresh[:] = [real(*args)]
+        return fresh[0]
+
+    def sweep(ranked, demand, budget, start=0, real=domination._sweep):
+        result = real(ranked, demand, budget, start)
+        caller = sys._getframe(1).f_locals
+        offers = caller["offers"]
+        if "depth" in caller:
+            offers = offers[(caller["depth"] + 1) * caller["k"]:]
+        current["_ratio_bound"].append(((offers, demand, budget), result))
+        if not (fresh and ranked is fresh[0]):
+            current["reused"].append(((offers, demand, budget), result))
+        fresh.clear()
+        return result
+
     with pytest.MonkeyPatch.context() as patch:
-        for name in calls:
-            def record(*args, bound=getattr(domination, name), out=current[name]):
-                result = bound(*args)
-                out.append((args, result))
-                return result
-            patch.setattr(domination, name, record)
+        patch.setattr(domination, "_prism_bound", prism)
+        patch.setattr(domination, "_rank", rank)
+        patch.setattr(domination, "_sweep", sweep)
         for g in bound_corpus():
             for _, solve in TABLES.values():
                 value = solve(g).value
@@ -461,6 +492,15 @@ class TestOfferTable:
         for (offers, demand, budget), result, _ in calls:
             want = ratio_bound_exact(offers, demand)
             assert domination._ratio_bound(offers, demand, UNREACHABLE) == want
+            assert result == want or (over(result, budget) and over(want, budget))
+
+    def test_reused_ranking_sweeps_like_a_fresh_one(self, bound_calls):
+        # a child that leaves its vertex empty keeps its parent's demand and
+        # sweeps its parent's ranking past its own vertex's offers
+        calls = bound_calls["reused"]
+        assert len(calls) > 1000
+        for (offers, demand, budget), result, _ in calls:
+            want = domination._ratio_bound(offers, demand, budget)
             assert result == want or (over(result, budget) and over(want, budget))
 
     @pytest.mark.parametrize("name", ["_prism_bound", "_ratio_bound"])

@@ -151,3 +151,18 @@ def test_solve_runs_without_argparse(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == '{"gamma_r2":1,"gamma_R":1}\n[]\n'
+
+
+def test_jsonl_scan_runs_without_csv():
+    # only the CSV report needs the csv module; -S as above
+    src = str(Path(rainbowroman.__file__).resolve().parents[1])
+    script = ("import sys\n"
+              f"sys.path.insert(0, {src!r})\n"
+              "from rainbowroman.cli import main\n"
+              "code = main(['scan', '--max-order', '3'])\n"
+              "print('csv' in sys.modules)\n"
+              "raise SystemExit(code)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("}\nFalse\n")
