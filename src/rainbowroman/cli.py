@@ -11,18 +11,18 @@ are comma-separated token strings ("1,.,2,." for rainbow, "2,0,1,0" for
 Roman).  All results go to standard output as compact JSON; scan emits
 JSON lines or CSV.
 
-The command line is read from one table, ``_COMMANDS``, by a small
-parser rather than by argparse.  Every command runs as a short process,
-and argparse cost 5-7 ms of each start-up: importing it pulls in
-``gettext``, each parser it builds looks up its strings through
-``gettext`` (which imports ``locale``), and each argument it adds
-builds a help formatter that queries the terminal size.  That was the
-largest share of a process's start-up that the package controls.  The
-table parser accepts the command lines argparse accepted, with the same
-values (options before, between or after positionals; ``--name value``
-and ``--name=value``; unique prefixes of long options; negative numbers
-as values; ``--`` ending the options); the test suite checks it against
-the argparse front end, kept in ``tests/oracles.py``.
+The command line is declared once, in the table ``_COMMANDS``.  A plain
+line (a command, then positionals and options spelled in full, each
+value after its option or after "=") is read straight from the table;
+any other (help, abbreviations, ``--``, values that start with "-",
+usage errors) goes to argparse, built from the same table.  argparse
+costs a short process 5-7 ms (its import pulls in ``gettext`` and
+``locale``, and each argument queries the terminal size), and every
+benchmark command line is plain.  Two readings depart from argparse:
+"--name=--" is the value "--", where argparse stored none; and when
+``--family``, spelled in full, takes the graph too, the "required"
+error says so.  The tests check the result against the argparse front
+end kept in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -218,10 +218,10 @@ def _cmd_construct(args: SimpleNamespace) -> int:
 def _cmd_scan(args: SimpleNamespace) -> int:
     sample = None
     if args.sample is not None:
-        parts = args.sample.split(",")
-        if len(parts) != 3:
-            raise ValueError("--sample expects ORDER,COUNT,SEED")
-        order, count, seed = (int(p) for p in parts)
+        try:
+            order, count, seed = map(int, args.sample.split(","))
+        except ValueError:  # not three parts, or one not an integer
+            raise ValueError("--sample expects ORDER,COUNT,SEED") from None
         sample = (order, count, seed)
     report = catalog.scan(args.max_order, sample)
     sys.stdout.write(report.to_csv() if args.format == "csv"
@@ -230,7 +230,6 @@ def _cmd_scan(args: SimpleNamespace) -> int:
 
 
 _REQUIRED = object()  # the default of an argument that must be given
-_HELP = ("-h", "--help")
 
 # command -> (handler, help line, arguments).  An argument is
 # (name, kind, default, help); a name that starts with "--" is an
@@ -282,189 +281,107 @@ def _dest(name: str) -> str:
     return name.lstrip("-").replace("-", "_")
 
 
-def _word(name: str, kind) -> str:
-    """An argument as usage and help show it."""
-    if kind == "flag" or not name.startswith("--"):
-        return name
-    if isinstance(kind, tuple):
-        return f"{name} {{{','.join(kind)}}}"
-    return f"{name} {_dest(name).upper()}{' ...' if kind == 'list' else ''}"
+def _plain(argv: list[str]):
+    """(handler, arguments) for a plain command line, else None.
 
-
-def _usage(prog: str, arguments) -> str:
-    words = ["usage:", prog, "[-h]"]
-    # options first, as argparse showed them
-    for name, kind, default, _ in sorted(arguments, key=lambda a: not a[0].startswith("--")):
-        word = _word(name, kind)
-        words.append(word if default is _REQUIRED else f"[{word}]")
-    return " ".join(words)
-
-
-def _exit_with_help(usage: str, about: str, title: str, rows) -> None:
-    rows = [*rows, ("-h, --help", "show this help message and exit")]
-    width = max(len(left) for left, _ in rows) + 2
-    print(f"{usage}\n\n{about}\n\n{title}:")
-    for left, right in rows:
-        print(f"  {left:<{width}}{right}")
-    raise SystemExit(0)
-
-
-def _fail(usage: str, prog: str, message: str) -> None:
-    sys.stderr.write(f"{usage}\n{prog}: error: {message}\n")
-    raise SystemExit(1)
-
-
-def _classify(token: str, names, usage: str, prog: str):
-    """What ``token`` is to a parser with option ``names``: None for a
-    positional; (None, None) for an unknown option; else (name, value),
-    where value is None unless the token carries it after "=" (or, for
-    -h, right after the h).  A long option may be given by any prefix
-    that no other option shares."""
-    if token[:1] != "-" or token == "-":
+    A plain line is a command, then its positionals and its options
+    spelled in full, each value after its option or after "=", and no
+    value that starts with "-" ("--name=--" is read as the value "--").
+    A line that lacks a required argument is not plain either; where a
+    list option took the positional that is missing, the result is then
+    the note that argparse's error should end with."""
+    if not argv or argv[0] not in _COMMANDS:
         return None
-    head, eq, value = token.partition("=")
-    if head in names:
-        return head, value if eq else None
-    if token[1] == "-":
-        found = [name for name in names if name.startswith(head)]
-        if len(found) > 1:
-            _fail(usage, prog, f"ambiguous option: {head} could match {', '.join(found)}")
-        if found:
-            return found[0], value if eq else None
-    elif token[:2] in names:
-        return token[:2], token[2:]
-    # as in argparse, a negative number or a string holding a space is a value
-    whole, dot, fraction = token[1:].partition(".")
-    if dot:
-        negative = fraction.isdecimal() and (not whole or whole.isdecimal())
-    else:
-        negative = whole.isdecimal()
-    return None if negative or " " in token else (None, None)
-
-
-def _is_help(name: str, value, usage: str, prog: str) -> bool:
-    """Whether an option is -h/--help; refuses a value given to it, apart
-    from more h's run together with -h ("-hh"), which argparse read as
-    -h given twice."""
-    if name not in _HELP:
-        return False
-    if value is not None and not (name == "-h" and value and not value.strip("h")):
-        _fail(usage, prog, f"argument -h/--help: ignored explicit argument {value!r}")
-    return True
-
-
-def _parse(argv: list[str]):
-    """(handler, arguments) for a command line, read through ``_COMMANDS``.
-
-    Usage errors write a message to stderr and raise SystemExit(1);
-    -h/--help prints help to stdout and raises SystemExit(0).  Errors
-    about a value (an ambiguous prefix, a missing or bad value) stop the
-    parse where they occur; unknown options, surplus positionals and
-    missing arguments are reported once the whole line is read, so a
-    later -h still shows help."""
-    prog = "rainbowroman"
-    usage = f"usage: {prog} [-h] {{{','.join(_COMMANDS)}}} ..."
-    unknown = []
-    for at, token in enumerate(argv):
-        found = None if token == "--" else _classify(token, _HELP, usage, prog)
-        if found is None:
-            break
-        if found[0] is None:
-            unknown.append(token)
-        elif _is_help(*found, usage, prog):
-            _exit_with_help(usage, "Exact 2-rainbow and Roman domination toolkit",
-                            "commands", [(name, entry[1]) for name, entry in _COMMANDS.items()])
-    else:
-        _fail(usage, prog, "the following arguments are required: command")
-    command = argv[at]
-    if command not in _COMMANDS:
-        choices = ", ".join(map(repr, _COMMANDS))
-        _fail(usage, prog, f"argument command: invalid choice: {command!r} (choose from {choices})")
-    handler, about, arguments = _COMMANDS[command]
-    prog = f"{prog} {command}"
-    usage = _usage(prog, arguments)
-    options = {name: kind for name, kind, _, _ in arguments if name.startswith("--")}
-    positionals = [name for name, _, _, _ in arguments if not name.startswith("--")]
+    handler, _, arguments = _COMMANDS[argv[0]]
+    kinds = {name: kind for name, kind, _, _ in arguments}
+    positionals = [name for name in kinds if not name.startswith("--")]
     args = SimpleNamespace(**{_dest(name): None if default is _REQUIRED else default
                               for name, _, default, _ in arguments})
-    rest = argv[at + 1:]
-    end = rest.index("--") if "--" in rest else len(rest)
-    # every token is classified before any is read, as argparse did, so an
-    # ambiguous prefix is refused even after -h; past "--", all are positionals
-    kinds = [_classify(token, (*_HELP, *options), usage, prog) for token in rest[:end]]
-    kinds += ["--"] + [None] * (len(rest) - end - 1) if end < len(rest) else []
-    filled = run = 0  # positionals filled, and filled since the last option
-    swallowed = None  # (list option, its values) once one takes more than one
-    i = 0
-    while i < len(rest):
-        token, found = rest[i], kinds[i]
-        i += 1
-        if found == "--":
-            # argparse let "--" through only in a run of positionals that
-            # could still take one
-            if not run and filled == len(positionals):
-                unknown.append(token)
+    rest = argv[:0:-1]  # the line after the command, read from the end
+    took = None  # a list option and its values, once it takes more than one
+    while rest:
+        token = rest.pop()
+        if token[:1] != "-":
+            if not positionals:
+                return None
+            setattr(args, positionals.pop(0), token)
             continue
-        if found is None:
-            if filled < len(positionals):
-                setattr(args, _dest(positionals[filled]), token)
-                filled += 1
-                run += 1
-            else:
-                unknown.append(token)
-            continue
-        run = 0
-        name, value = found
-        if name is None:
-            unknown.append(token)
-            continue
-        if _is_help(name, value, usage, prog):
-            _exit_with_help(usage, about, "arguments",
-                            [(_word(name, kind), text) for name, kind, _, text in arguments])
-        kind = options[name]
+        name, eq, value = token.partition("=")
+        kind = kinds.get(name) if name.startswith("--") else None
+        if kind is None or kind == "flag" and eq or value[:1] == "-" and value != "--":
+            return None
         if kind == "flag":
-            if value is not None:
-                _fail(usage, prog, f"argument {name}: ignored explicit argument {value!r}")
             setattr(args, _dest(name), True)
             continue
-        if value is not None:
-            values = [value]
-        else:
-            # the positionals that follow, up to the next option or "--":
-            # one, or for a list all of them
-            stop = i
-            while stop < len(rest) and kinds[stop] is None and (stop == i or kind == "list"):
-                stop += 1
-            values, i = rest[i:stop], stop
-            if not values:
-                _fail(usage, prog, f"argument {name}: expected "
-                      f"{'at least one argument' if kind == 'list' else 'one argument'}")
-            if len(values) > 1:
-                swallowed = name, values
+        values = [value] if eq else []
+        # one value, or for a list every one up to the next option
+        while not eq and rest and rest[-1][:1] != "-" and (not values or kind == "list"):
+            values.append(rest.pop())
+        if not values:
+            return None
+        if len(values) > 1:
+            took = name, values
         if kind == "int":
             try:
                 values = [int(values[0])]
             except ValueError:
-                _fail(usage, prog, f"argument {name}: invalid int value: {values[0]!r}")
+                return None
         elif isinstance(kind, tuple) and values[0] not in kind:
-            choices = ", ".join(map(repr, kind))
-            _fail(usage, prog, f"argument {name}: invalid choice: {values[0]!r} "
-                  f"(choose from {choices})")
+            return None
         setattr(args, _dest(name), values if kind == "list" else values[0])
-    # a required argument that was given holds a value that is not None
     missing = [name for name, _, default, _ in arguments
                if default is _REQUIRED and getattr(args, _dest(name)) is None]
-    if missing:
-        message = f"the following arguments are required: {', '.join(missing)}"
-        lost = [name for name in missing if name in positionals]
-        if lost and swallowed:
-            # a list option takes every positional after it, the one missing too
-            name, values = swallowed
-            message += (f" ({name} took all of {' '.join(values)}; "
-                        f"give the {lost[0]} before {name})")
-        _fail(usage, prog, message)
-    if unknown:
-        _fail(usage, prog, f"unrecognized arguments: {' '.join(unknown)}")
+    if not missing:
+        return handler, args
+    if took and positionals and positionals[0] in missing:
+        name, values = took
+        return (f" ({name} took all of {' '.join(values)}; "
+                f"give the {positionals[0]} before {name})")
+    return None
+
+
+def _parse(argv: list[str]):
+    """(handler, arguments) for a command line: a plain line as
+    :func:`_plain` reads it, any other through argparse, built from
+    ``_COMMANDS`` and imported only here.  Usage errors write a message
+    to stderr and raise SystemExit(1); -h/--help prints help and raises
+    SystemExit(0)."""
+    note = _plain(argv)
+    if isinstance(note, tuple):
+        return note
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> None:
+            # exit 2 is kept for violated identities
+            if note and message.startswith("the following arguments are required"):
+                message += note
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    parser = Parser(prog="rainbowroman",
+                    description="Exact 2-rainbow and Roman domination toolkit")
+    commands = parser.add_subparsers(dest="command", required=True)
+    how = {"flag": {"action": "store_true"}, "int": {"type": int}, "list": {"nargs": "+"},
+           "str": {}}
+    for command, (_, about, arguments) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=about)
+        for name, kind, default, text in arguments:
+            spec = {"help": text, **(how[kind] if kind in how else {"choices": kind})}
+            if default is not _REQUIRED:
+                spec["default"] = default
+                if not name.startswith("--"):
+                    spec["nargs"] = "?"
+            elif name.startswith("--"):
+                spec["required"] = True
+            sub.add_argument(name, **spec)
+    args = parser.parse_args(argv)
+    command = vars(args).pop("command")
+    handler, _, arguments = _COMMANDS[command]
+    for name, _, _, _ in arguments:
+        # argparse reads "--name=--" as no value, skipping the choices check
+        if getattr(args, _dest(name)) == []:
+            commands.choices[command].error(f"argument {name}: expected a value, not '--'")
     return handler, args
 
 

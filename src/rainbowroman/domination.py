@@ -489,17 +489,17 @@ def gamma_roman(g: Graph) -> SolveResult:
     return _minimise(g, _ROMAN_LABELS, RomanAssignment)
 
 
-def _check_all_min_order(g: Graph, cap: int = ALL_MIN_ORDER_CAP) -> None:
-    """Refuse to enumerate minimum functions above order ``cap``.
+def _check_all_min_order(g: Graph) -> None:
+    """Refuse to enumerate minimum functions above ``ALL_MIN_ORDER_CAP``,
+    read when called.
 
     :func:`_each_min_2rdf` checks; a caller that solves gamma_r2 first
     checks before it, too, so that it fails before any search."""
-    if g.order > cap:
-        raise ValueError(f"minimum-function enumeration is capped at order {cap}")
+    if g.order > ALL_MIN_ORDER_CAP:
+        raise ValueError(f"minimum-function enumeration is capped at order {ALL_MIN_ORDER_CAP}")
 
 
-def _each_min_2rdf(g: Graph, value: int, visit: Callable[[list[int]], object],
-                   cap: int = ALL_MIN_ORDER_CAP) -> None:
+def _each_min_2rdf(g: Graph, value: int, visit: Callable[[list[int]], object]) -> None:
     """Pass each minimum 2-rainbow function the search reaches to ``visit``.
 
     ``value`` must be gamma_r2(g): :func:`_search` runs with it as a
@@ -508,9 +508,9 @@ def _each_min_2rdf(g: Graph, value: int, visit: Callable[[list[int]], object],
     singleton in branch order is {1}; so a reached function stands for
     itself and its swap exactly when it holds a {1}.  ``visit`` gets the
     live code list, in vertex order, and must copy it to keep it.
-    Raises ValueError above order ``cap``.
+    Raises ValueError above order ``ALL_MIN_ORDER_CAP``.
     """
-    _check_all_min_order(g, cap)
+    _check_all_min_order(g)
 
     def leaf(codes: list[int], weight: int) -> int:
         visit(codes)
@@ -520,22 +520,22 @@ def _each_min_2rdf(g: Graph, value: int, visit: Callable[[list[int]], object],
     run(value, leaf)
 
 
-def _all_min_at(g: Graph, value: int, cap: int = ALL_MIN_ORDER_CAP) -> list[RainbowAssignment]:
+def _all_min_at(g: Graph, value: int) -> list[RainbowAssignment]:
     """Every minimum 2-rainbow function, given ``value`` = gamma_r2(g), in
     lexicographic order of the code vector under 0 < 1 < 2 < 3: the
     reached functions plus the swap of each one that holds a {1}."""
     found: list[tuple[int, ...]] = []
-    _each_min_2rdf(g, value, lambda codes: found.append(tuple(codes)), cap)
+    _each_min_2rdf(g, value, lambda codes: found.append(tuple(codes)))
     found += [tuple(_SWAPPED[c] for c in codes) for codes in found if 1 in codes]
     return [RainbowAssignment(codes) for codes in sorted(found)]
 
 
-def all_min_2rdf(g: Graph, cap: int = ALL_MIN_ORDER_CAP) -> list[RainbowAssignment]:
+def all_min_2rdf(g: Graph) -> list[RainbowAssignment]:
     """Every minimum-weight 2-rainbow dominating function.
 
     Complete and duplicate-free, in lexicographic order of the code
     vector under 0 < 1 < 2 < 3, enumerated at the optimum from
     :func:`gamma_r2`.
     """
-    _check_all_min_order(g, cap)  # before gamma_r2 is solved
-    return _all_min_at(g, gamma_r2(g).value, cap)
+    _check_all_min_order(g)  # before gamma_r2 is solved
+    return _all_min_at(g, gamma_r2(g).value)

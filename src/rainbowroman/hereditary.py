@@ -52,7 +52,9 @@ def solve_both_cached(g: Graph) -> tuple[SolveResult, SolveResult]:
     """(2-rainbow, Roman) solves memoized by labelled structure.
 
     The cache pays off when many graphs share induced subgraphs, as in
-    the exhaustive scans; isolated calls go straight to the solvers.
+    the exhaustive scans.  Every call goes through the memo; a caller
+    that wants none calls :func:`gamma_r2` and :func:`gamma_roman`, as
+    the CLI's ``solve`` does.
     """
     return _solved_by_mask(g.order, edge_mask(g, range(g.order)))
 

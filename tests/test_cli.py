@@ -405,9 +405,9 @@ class TestScan:
         assert out == scan(3, sample=(5, 10, 3)).to_csv()
 
     def test_bad_sample_spec(self, capsys):
-        code, _, err = run(capsys, "scan", "--max-order", "3",
-                           "--sample", "5,10")
-        assert code == 1 and "error:" in err
+        for spec in ("5,10", "5,x,3"):
+            code, _, err = run(capsys, "scan", "--max-order", "3", "--sample", spec)
+            assert code == 1 and "error: --sample expects ORDER,COUNT,SEED" in err, spec
 
     def test_order_cap(self, capsys):
         code, _, err = run(capsys, "scan", "--max-order", "9")

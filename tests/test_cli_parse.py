@@ -1,10 +1,12 @@
-"""The command table's parser against the argparse front end it replaced.
+"""The CLI's command-line reading against the hand-written argparse front end.
 
-Every command line here goes through ``oracles.argparse_parser()`` and
-through ``cli._parse``.  Where argparse accepted it, both must name the
-same handler and the same values; where argparse refused it, the table
-parser must exit 1 with an error on stderr and nothing on stdout; where
-argparse showed help, both must exit 0.
+``cli._parse`` reads a plain line from the command table and hands any
+other to argparse built from the same table.  Every command line here
+goes through ``oracles.argparse_parser()`` and through ``cli._parse``.
+Where the reference accepted it, both must name the same handler and
+the same values; where it refused it, ``cli._parse`` must exit 1 with
+an error on stderr and nothing on stdout; where it showed help, both
+must exit 0.
 """
 
 from __future__ import annotations

@@ -569,15 +569,16 @@ class TestCaps:
         with pytest.raises(ValueError, match="capped"):
             gamma_roman(empty_graph(SOLVER_ORDER_CAP + 1))
 
-    def test_all_min_cap(self):
+    def test_all_min_cap(self, monkeypatch):
         with pytest.raises(ValueError, match="capped"):
             all_min_2rdf(empty_graph(ALL_MIN_ORDER_CAP + 1))
         # the walk checks the cap itself, so a raised cap reaches it
         star = star_graph(ALL_MIN_ORDER_CAP)
         with pytest.raises(ValueError, match="capped at order 16"):
             domination._each_min_2rdf(star, 2, lambda codes: None)
+        monkeypatch.setattr(domination, "ALL_MIN_ORDER_CAP", ALL_MIN_ORDER_CAP + 1)
         only = (3,) + (0,) * ALL_MIN_ORDER_CAP
-        assert [f.codes for f in all_min_2rdf(star, ALL_MIN_ORDER_CAP + 1)] == [only]
+        assert [f.codes for f in all_min_2rdf(star)] == [only]
 
     def test_product_check_cap(self):
         with pytest.raises(ValueError, match="capped"):

@@ -113,7 +113,9 @@ def test_bad_input_is_rejected(build, message):
     assert str(error.value) == message
 
 
-# the modules that argparse brought into every CLI process
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+# the modules that argparse brings into a CLI process
 ARGPARSE = ("argparse", "gettext", "locale")
 
 
@@ -136,21 +138,39 @@ def test_cli_import_is_lean_and_eager():
     assert {f"rainbowroman.{m}" for m in wrapped} <= added
 
 
-def test_solve_runs_without_argparse(tmp_path):
-    # -S keeps .pth hooks from importing these before the package does
-    k1 = tmp_path / "k1.el"
-    k1.write_text("1 0\n")
+# one command line of each benchmark job's shape, on tests/fixtures
+PLAIN_LINES = [
+    ["solve", "--witness", "c4.el"],
+    ["reduce", "sat1.cnf", "--check"],
+    ["construct", "--op", "gap-k", "--k", "2"],
+    ["scan", "--max-order", "3", "--sample", "5,4,1"],
+    ["recognize", "p5.el", "--family", "theorem2", "--hereditary-direct"],
+    ["structure", "c4.el"],
+]
+
+
+def test_solve_runs_without_argparse():
+    # -S keeps .pth hooks from importing these before the package does.
+    # The plain lines run first; then an abbreviated option, which only
+    # argparse reads, must print what the option spelled in full prints.
     src = str(Path(rainbowroman.__file__).resolve().parents[1])
-    script = ("import sys\n"
+    script = ("import contextlib, io, sys\n"
               f"sys.path.insert(0, {src!r})\n"
               "from rainbowroman.cli import main\n"
-              f"code = main(['solve', {str(k1)!r}])\n"
-              f"print(sorted(set({ARGPARSE!r}) & set(sys.modules)))\n"
-              "raise SystemExit(code)\n")
-    proc = subprocess.run([sys.executable, "-S", "-c", script],
+              "def run(argv):\n"
+              "    out = io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out):\n"
+              "        code = main(argv)\n"
+              "    return code, out.getvalue()\n"
+              f"codes = [run(argv)[0] for argv in {PLAIN_LINES!r}]\n"
+              f"print(codes, sorted(set({ARGPARSE!r}) & set(sys.modules)))\n"
+              "full = run(['solve', '--witness', 'c4.el'])\n"
+              "short = run(['solve', '--wit', 'c4.el'])\n"
+              "print(short == full, 'argparse' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", script], cwd=FIXTURES,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == '{"gamma_r2":1,"gamma_R":1}\n[]\n'
+    assert proc.stdout == f"{[0] * len(PLAIN_LINES)} []\nTrue True\n"
 
 
 def test_jsonl_scan_runs_without_csv():
