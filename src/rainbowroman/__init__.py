@@ -32,9 +32,8 @@ _EXPORTS = {
     "graph": ("EdgeListError", "Graph", "canonical_form", "complete_graph",
               "components", "connected", "cycle_graph", "diamond_graph",
               "disjoint_union", "empty_graph", "graph_from_edges",
-              "induced_subgraph", "is_k4_free", "make_named",
-              "parse_edge_list", "path_graph", "relabel",
-              "serialize_edge_list", "star_graph"),
+              "induced_subgraph", "is_k4_free", "parse_edge_list",
+              "path_graph", "relabel", "serialize_edge_list", "star_graph"),
     "hereditary": ("EQUALITY_FAMILY", "PRESET_FAMILIES", "THREE_HALVES_FAMILY",
                    "find_induced_member", "has_induced",
                    "hereditary_equality_direct",

@@ -89,12 +89,13 @@ def _classes(n: int) -> tuple[tuple[Graph, bytes], ...]:
     return tuple((g, form) for form, g in least.items())
 
 
-def enumerate_graphs(n: int, dedup: bool = False,
-                     connected_only: bool = False) -> Iterator[Graph]:
+def enumerate_graphs(n: int, dedup: bool = False) -> Iterator[Graph]:
     """All order-n graphs in ascending edge-mask order.
 
     With dedup, one representative per isomorphism class (the least
-    mask).  Labeled enumeration is capped at order 6, dedup at 7.
+    mask).  Labeled enumeration is capped at order 6, dedup at 7; the
+    cap is checked on the first ``next``.  For connected graphs only,
+    filter with :func:`connected`.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
@@ -103,13 +104,9 @@ def enumerate_graphs(n: int, dedup: bool = False,
         kind = "dedup" if dedup else "labeled"
         raise ValueError(f"{kind} enumeration is capped at order {cap}")
     if dedup:
-        graphs = (g for g, _ in _classes(n))
+        yield from (g for g, _ in _classes(n))
     else:
-        graphs = (from_edge_mask(n, mask) for mask in range(1 << (n * (n - 1) // 2)))
-    for g in graphs:
-        if connected_only and not connected(g):
-            continue
-        yield g
+        yield from (from_edge_mask(n, mask) for mask in range(1 << (n * (n - 1) // 2)))
 
 
 def random_graphs(order: int, count: int, seed: int) -> Iterator[Graph]:

@@ -314,7 +314,10 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
     every pass visits the same nodes in the same order and reaches the
     same first leaf.
 
-    A child that leaves v = ``branch[d]`` empty keeps its parent's demand
+    Each node carries its unmet demand, every demand at the root.  A
+    child that places a label on v = ``branch[d]`` drops the reach of
+    that label's offer, v's rung and the colors it shows to v's
+    neighbours.  A child that leaves v empty keeps its parent's demand
     exactly: v moves from undecided to empty, and the empty label shows
     nothing.  So it ranks nothing: it sweeps the ranking its parent was
     given, skipping the entries of index below (d + 1) * k, v's own k
@@ -366,8 +369,8 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
     def run(limit: int, leaf: _Leaf) -> int:
         nodes = 0
 
-        def descend(depth: int, weight: int, undecided: int, empties: int,
-                    shown: int, opened: bool, ranked: _Ranking) -> None:
+        def descend(depth: int, weight: int, undecided: int, demand: int,
+                    opened: bool, ranked: _Ranking) -> None:
             nonlocal limit, nodes
             if depth == n:
                 limit = leaf(codes, weight)
@@ -381,29 +384,27 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
                     continue
                 nodes += 1
                 codes[v] = code
-                now_empty = empties if code else empties | (1 << v)
-                now_shown = shown | shown_to[v][shows]
-                pending = remaining | now_empty
-                demand = (pending | pending << n) & ~now_shown
-                ranking = ranked  # the empty child's: its demand is its parent's
-                if demand:
+                # the empty child keeps its parent's demand and ranking
+                unmet = demand & ~(rungs[v] | shown_to[v][shows]) if code else demand
+                ranking = ranked
+                if unmet:
                     budget = limit - w
                     if code:
-                        bound = _prism_bound(n, scan, demand, remaining, budget)
+                        bound = _prism_bound(n, scan, unmet, remaining, budget)
                         if bound is None or bound > budget:
                             continue
-                        ranking = _rank(offers, demand, start)
-                    bound = _sweep(ranking, demand, budget, start)
+                        ranking = _rank(offers, unmet, start)
+                    bound = _sweep(ranking, unmet, budget, start)
                     if bound is None or bound > budget:
                         continue
                     if not code:
-                        bound = _prism_bound(n, scan, demand, remaining, budget)
+                        bound = _prism_bound(n, scan, unmet, remaining, budget)
                         if bound is None or bound > budget:
                             continue
-                descend(depth + 1, w, remaining, now_empty, now_shown,
-                        opened or shows == 1, ranking)
+                descend(depth + 1, w, remaining, unmet, opened or shows == 1,
+                        ranking)
 
-        descend(0, 0, everyone, 0, 0, False, ranked)
+        descend(0, 0, everyone, every_demand, False, ranked)
         return nodes
 
     return root, run

@@ -206,26 +206,6 @@ def diamond_graph() -> Graph:
     return graph_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 
 
-_NAMED = {
-    "path": (path_graph, 1),
-    "cycle": (cycle_graph, 1),
-    "complete": (complete_graph, 1),
-    "empty": (empty_graph, 1),
-    "star": (star_graph, 1),
-    "diamond": (diamond_graph, 0),
-}
-
-
-def make_named(name: str, params: list[int] | tuple[int, ...] = ()) -> Graph:
-    """Construct a named family member; params give order or leaf count."""
-    if name not in _NAMED:
-        raise ValueError(f"unknown graph family '{name}'")
-    fn, arity = _NAMED[name]
-    if len(params) != arity:
-        raise ValueError(f"family '{name}' takes {arity} parameter(s)")
-    return fn(*params)
-
-
 def induced_subgraph(g: Graph, subset: int) -> Graph:
     """Induced subgraph on the bitmask ``subset``, relabelled to 0..k-1 ascending."""
     keep = [v for v in bits(subset)]

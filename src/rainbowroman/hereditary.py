@@ -90,19 +90,17 @@ def has_induced(g: Graph, h: Graph) -> bool:
 
 
 def is_free(g: Graph, family) -> bool:
-    """True iff g has no induced copy of any pattern in the family.
-
-    ``family`` is an iterable of (name, Graph) pairs or bare Graphs.
-    """
+    """True iff g has no induced copy of any pattern in ``family``, an
+    iterable of (name, Graph) pairs such as :data:`EQUALITY_FAMILY`."""
     return find_induced_member(g, family) is None
 
 
 def find_induced_member(g: Graph, family) -> str | None:
-    """Name of the first family pattern appearing induced in g, else None."""
-    for entry in family:
-        name, h = entry if isinstance(entry, tuple) else (None, entry)
+    """Name of the first (name, Graph) pair of ``family`` whose graph g
+    contains induced, else None."""
+    for name, h in family:
         if has_induced(g, h):
-            return name if name is not None else f"order-{h.order} pattern"
+            return name
     return None
 
 

@@ -265,19 +265,6 @@ class ReductionReport(NamedTuple):
     def gap(self) -> int:
         return self.gamma_roman - self.gamma_r2
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.formula.num_vars,
-            "m": self.formula.num_clauses,
-            "order": self.order,
-            "gamma_r2": self.gamma_r2,
-            "gamma_R": self.gamma_roman,
-            "gap": self.gap,
-            "satisfiable": self.satisfiable,
-            "assignment": list(self.assignment) if self.assignment is not None else None,
-            "consistent": self.consistent,
-        }
-
 
 def verify_reduction(f: CnfFormula) -> ReductionReport:
     """Solve the gadget and check every identity it is supposed to satisfy.

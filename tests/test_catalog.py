@@ -14,8 +14,8 @@ from rainbowroman.catalog import (CSV_COLUMNS, DEDUP_ORDER_CAP,
                                   SCAN_ORDER_CAP, enumerate_graphs,
                                   random_graphs, scan)
 from rainbowroman.domination import VerificationError
-from rainbowroman.graph import (bits, canonical_form, components, edge_mask,
-                                graph_from_edges, lower_twins)
+from rainbowroman.graph import (bits, canonical_form, components, connected,
+                                edge_mask, graph_from_edges, lower_twins)
 from rainbowroman.rng import SplitMix64
 
 from oracles import classes_unpruned, isomorphic
@@ -85,8 +85,7 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("n", sorted(CONNECTED_CLASS_COUNTS))
     def test_connected_class_count(self, n):
-        got = sum(1 for _ in enumerate_graphs(n, dedup=True,
-                                              connected_only=True))
+        got = sum(1 for g in enumerate_graphs(n, dedup=True) if connected(g))
         assert got == CONNECTED_CLASS_COUNTS[n]
 
     def test_dedup_reps_are_pairwise_non_isomorphic(self):

@@ -114,6 +114,12 @@ class TestSolve:
         assert json.loads(out)["all_min_2rdf"] == \
             [".,1,.,2", ".,2,.,1", "1,.,2,.", "2,.,1,."]
 
+    def test_all_min_with_roman_prints_gamma_roman_only(self, capsys):
+        # gamma_r2 is solved for the enumeration but not printed
+        assert run(capsys, "solve", C4, "--param", "roman", "--all-min") == \
+            (0, '{"gamma_R":3,"all_min_2rdf":[".,1,.,2",".,2,.,1",'
+                '"1,.,2,.","2,.,1,."]}\n', "")
+
     def test_all_min_solves_gamma_r2_once(self, capsys, monkeypatch, tmp_path):
         calls = count_calls(monkeypatch, domination, "gamma_r2")
         code, out, _ = run(capsys, "solve", four_squares(tmp_path), "--all-min")
@@ -171,6 +177,13 @@ class TestReduce:
         assert code == 0
         g = parse_edge_list(target.read_text())
         assert g.order == 9 and g.edge_count() == 13
+
+    def test_out_with_check(self, capsys, tmp_path):
+        target = tmp_path / "gadget.el"
+        assert run(capsys, "reduce", SAT1, "--out", str(target), "--check") == \
+            (0, '{"gamma_r2":4,"gamma_R":4,"satisfiable":true,'
+                '"consistent":true}\n', "")
+        assert target.read_text().splitlines()[0] == "9 13"
 
     def test_inconsistent_check_exits_2(self, capsys, monkeypatch):
         fake = types.SimpleNamespace(gamma_r2=4, gamma_roman=5,

@@ -13,9 +13,8 @@ from rainbowroman.graph import (EdgeListError, Graph, bits, canonical_form,
                                 cycle_graph, diamond_graph, disjoint_union,
                                 edge_mask, empty_graph, from_edge_mask,
                                 graph_from_edges, induced_subgraph, is_k4_free,
-                                make_named, mask_of, parse_edge_list,
-                                path_graph, relabel, serialize_edge_list,
-                                star_graph)
+                                mask_of, parse_edge_list, path_graph, relabel,
+                                serialize_edge_list, star_graph)
 from rainbowroman.rng import SplitMix64
 
 from oracles import (canonical_form_unpruned, connected_brute,
@@ -136,14 +135,6 @@ class TestNamedGraphs:
             cycle_graph(2)
         with pytest.raises(ValueError):
             star_graph(0)
-
-    def test_make_named(self):
-        assert make_named("cycle", (5,)).order == 5
-        assert make_named("diamond").order == 4
-        with pytest.raises(ValueError, match="unknown graph family"):
-            make_named("hypercube", (3,))
-        with pytest.raises(ValueError, match="parameter"):
-            make_named("diamond", (4,))
 
 
 class TestEdgeList:

@@ -217,12 +217,6 @@ class TestVerifyReduction:
             assert report.gamma_r2 == 2 * f.num_vars + 2
             assert report.gamma_roman - report.gamma_r2 in (0, 1)
 
-    def test_json_dict(self):
-        d = verify_reduction(UNSAT1).to_json_dict()
-        assert d == {"n": 1, "m": 2, "order": 9, "gamma_r2": 4, "gamma_R": 5,
-                     "gap": 1, "satisfiable": False, "assignment": None,
-                     "consistent": True}
-
 
 class TestExtractAssignment:
     def test_sat_witness_round_trip(self):
