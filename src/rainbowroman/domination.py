@@ -272,6 +272,62 @@ def _ratio_bound(offers: list[tuple[int, int]], demand: int, budget: int) -> int
     return _sweep(_rank(offers, demand), demand, budget)
 
 
+def _finisher(n: int, offers: list[tuple[int, int]], pivots: list[int]
+              ) -> Callable[[int, int, int], bool]:
+    """The exact test that ends a branch with at most 2 units of weight left.
+
+    Returns ``completes(demand, start, budget)``: whether labels of total
+    weight at most ``budget`` <= 2, placed on distinct vertices whose
+    offers lie in ``offers[start:]``, meet all of ``demand``, which is
+    not 0.  ``offers`` is the flat table of :func:`_ratio_bound`, k pairs
+    per vertex in branch order, and ``pivots`` holds each vertex's two
+    demand bits, least degree first.
+
+    Some placed label meets the unmet demand of least degree, so the
+    test walks that demand's suppliers: an offer that meets all of the
+    demand, or a weight-1 offer whose rest one more weight-1 offer meets.
+    Two weight-1 labels on one vertex meet no more than the weight-2
+    label there, so the second offer may share the first's vertex.  A
+    label never shows more colors than its weight, so a weight-1 offer
+    meets at most one demand of a color it does not show, its own
+    vertex's; a rest with two demands of each color is skipped.  Each
+    demand's suppliers, ``(j, weight, reach)`` in ascending index ``j``,
+    are listed on first use and walked from the end down to ``start``.
+    """
+    everyone = (1 << n) - 1
+    suppliers: dict[int, list[tuple[int, int, int]]] = {}
+
+    def completes(demand: int, start: int, budget: int) -> bool:
+        if budget <= 0:
+            return False
+        for mask in pivots:
+            if demand & mask:
+                break
+        pivot = demand & mask
+        pivot &= -pivot
+        supply = suppliers.get(pivot)
+        if supply is None:
+            supply = suppliers[pivot] = [(j, weight, reach)
+                                         for j, (weight, reach) in enumerate(offers)
+                                         if reach & pivot]
+        for j, weight, reach in reversed(supply):
+            if j < start:
+                break
+            if weight > budget:
+                continue
+            rest = demand & ~reach
+            if not rest:
+                return True
+            if weight < budget:
+                ones, twos = rest & everyone, rest >> n
+                if (ones & (ones - 1) == 0 or twos & (twos - 1) == 0) \
+                        and completes(rest, start, budget - weight):
+                    return True
+        return False
+
+    return completes
+
+
 _Leaf = Callable[[list[int], int], int]
 
 
@@ -291,7 +347,8 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
     are decided in descending-degree order (ties by index).  A branch is
     cut when its weight exceeds ``limit``, or when its weight plus
     :func:`_prism_bound` or :func:`_ratio_bound` does, or when either
-    bound finds an empty vertex that can no longer be dominated.  Every
+    bound finds an empty vertex that can no longer be dominated; with at
+    most 2 units of weight left, exactly when no completion exists.  Every
     complete assignment reached is a dominating function of weight at
     most ``limit``; it goes to ``leaf(codes, weight)``, which returns the
     limit for the rest of the search, -1 to stop it.  ``codes`` is the
@@ -331,6 +388,21 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
     :func:`_prism_bound`, every other child after it; a branch is cut
     when either bound cuts, so the order changes no node.
 
+    A child whose budget ``limit - w`` is at most 2 takes neither bound.
+    It asks the exact test of :func:`_finisher` whether labels of total
+    weight at most the budget, on distinct undecided vertices, meet its
+    unmet demand, and is cut exactly when they cannot.  The test rests on
+    one rule: a label shows no more colors than it weighs, so a weight-1
+    label meets at most one demand of a color it does not show, its own
+    vertex's.  A child it cuts holds no leaf, so every leaf, and the
+    order the leaves are reached in, stays as it was: the same first
+    leaf and the same minimum-function walk.  A child it keeps has a
+    completion within its budget, so the admissible bounds would keep it
+    too: the finish never adds a node.  The limit never rises within a
+    run, so no descendant of such a child has more budget: once the
+    budget is below 3 no ranking is made or swept, and the parent's is
+    handed down unread.
+
     Swapping colors 1 and 2 maps a 2-rainbow dominating function to one
     of the same weight, so the search reaches one function of each such
     pair: a label showing color 2 alone waits until a label showing
@@ -364,6 +436,7 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
     ranked = _rank(offers, every_demand)
     root = max(_prism_bound(n, scan, every_demand, everyone, 4 * n),
                _sweep(ranked, every_demand, 4 * n))
+    completes = _finisher(n, offers, [rung for _, _, rung, _ in scan])
     codes = [0] * n
 
     def run(limit: int, leaf: _Leaf) -> int:
@@ -387,8 +460,11 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
                 # the empty child keeps its parent's demand and ranking
                 unmet = demand & ~(rungs[v] | shown_to[v][shows]) if code else demand
                 ranking = ranked
-                if unmet:
-                    budget = limit - w
+                budget = limit - w
+                if unmet and budget < 3:
+                    if not completes(unmet, start, budget):
+                        continue
+                elif unmet:
                     if code:
                         bound = _prism_bound(n, scan, unmet, remaining, budget)
                         if bound is None or bound > budget:

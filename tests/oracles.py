@@ -260,12 +260,41 @@ def ratio_bound_exact(offers, demand) -> int | None:
     return math.ceil(total)
 
 
+def completes_brute(g, labels, undecided, demand, budget) -> bool:
+    """Whether labels of total weight at most ``budget`` <= 2, placed on
+    distinct vertices of ``undecided``, meet every bit of ``demand`` (bit v
+    for (v, 1), bit n + v for (v, 2)): every set of at most two placements
+    is tried.  A placement meets its vertex's two demands and the colors
+    its label shows at the vertex's neighbours; every nonempty label
+    weighs at least 1, so no completion within the budget places more."""
+    n = g.order
+    placements = []
+    for x in bits(undecided):
+        row = g.adjacency[x]
+        for code, weight, shows in labels:
+            if code:
+                met = 1 << x | 1 << (n + x)
+                met |= (row if shows & 1 else 0) | (row << n if shows & 2 else 0)
+                placements.append((x, weight, met))
+    for size in range(3):
+        for chosen in itertools.combinations(placements, size):
+            met = 0
+            for _, _, reach in chosen:
+                met |= reach
+            if (len({x for x, _, _ in chosen}) == size
+                    and sum(weight for _, weight, _ in chosen) <= budget
+                    and demand & ~met == 0):
+                return True
+    return False
+
+
 def search_by_mask(g, labels):
     """``domination._search`` as it was before the flat offer table and the
     budgets: the ratio bound walks the undecided mask to collect per-vertex
-    offers, and both bounds run to the end.  Same ``(root, run)`` contract.
-    The differential oracle for the search's root bound, node counts,
-    values and witnesses.
+    offers, and both bounds run to the end.  A branch with at most 2 units
+    of weight left takes :func:`completes_brute` instead of the bounds.
+    Same ``(root, run)`` contract.  The differential oracle for the
+    search's root bound, node counts, values and witnesses.
     """
     n = g.order
     adj = g.adjacency
@@ -304,7 +333,10 @@ def search_by_mask(g, labels):
                 now_shown = shown | shown_to[v][shows]
                 pending = remaining | now_empty
                 demand = (pending | pending << n) & ~now_shown
-                if demand:
+                if demand and limit - w < 3:
+                    if not completes_brute(g, labels, remaining, demand, limit - w):
+                        continue
+                elif demand:
                     bound = prism_bound_unbudgeted(n, scan, demand, remaining)
                     if bound is None or w + bound > limit:
                         continue

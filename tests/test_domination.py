@@ -21,15 +21,15 @@ from rainbowroman.domination import (ALL_MIN_ORDER_CAP, SOLVER_ORDER_CAP,
 from rainbowroman.graph import (complete_graph, components, connected,
                                 cycle_graph, disjoint_union, empty_graph,
                                 from_edge_mask, graph_from_edges,
-                                induced_subgraph, path_graph, relabel,
-                                star_graph)
+                                induced_subgraph, mask_of, path_graph,
+                                relabel, star_graph)
 from rainbowroman.reduction import build_reduction, random_formula
 from rainbowroman.rng import SplitMix64
 
 from oracles import (PRODUCT_CHECK_ORDER_CAP, RAINBOW_BRANCH_ORDER,
-                     ROMAN_BRANCH_ORDER, first_optimum, gamma_r2_product_check,
-                     gamma_roman_subsets, minimise_descending,
-                     minimise_unsplit, naive_gamma_r2,
+                     ROMAN_BRANCH_ORDER, completes_brute, first_optimum,
+                     gamma_r2_product_check, gamma_roman_subsets,
+                     minimise_descending, minimise_unsplit, naive_gamma_r2,
                      naive_gamma_roman, naive_min_2rdfs,
                      prism_bound_unbudgeted, rainbow_valid, rainbow_weight,
                      ratio_bound_exact, roman_valid, search_by_mask)
@@ -414,6 +414,7 @@ UNREACHABLE = 1 << 20
 def bound_corpus():
     return (classes_to_order_7()
             + list(density_graphs(SplitMix64(1987), 4, range(8, 16)))
+            + list(density_graphs(SplitMix64(1988), 2, range(16, 21)))
             + [gap_graph(k) for k in range(4)] + [path_graph(12), cycle_graph(13)])
 
 
@@ -536,6 +537,73 @@ class TestOfferTable:
         assert over(prism, budget) and over(ratio, budget)
         if budget == UNREACHABLE:
             assert prism is None and ratio is None
+
+
+def finish_states(labels):
+    """Seeded random inputs of ``domination._finisher`` on graphs of order
+    4-10, as ``(g, completes, start, undecided, demand)``.
+
+    The vertices take a random order, the offer table follows it, k pairs
+    per vertex, and the pivots are each vertex's two demand bits, least
+    degree first.  At each depth d the first d + 1 vertices take random
+    labels, and the demand is what they leave unmet, or, every other
+    time, a random part of it; ``start`` is (d + 1) * k."""
+    rng = SplitMix64(2020)
+    placed = [(weight, shows) for code, weight, shows in labels if code]
+    k = len(placed)
+    for g in density_graphs(SplitMix64(2021), 150, range(4, 11)):
+        n = g.order
+        order = random_permutation(rng, n)
+        reach = {(v, shows): 1 << v | 1 << (n + v) | (g.adjacency[v] if shows & 1 else 0)
+                 | (g.adjacency[v] << n if shows & 2 else 0)
+                 for v in range(n) for _, shows in placed}
+        offers = [(weight, reach[v, shows]) for v in order for weight, shows in placed]
+        pivots = [1 << v | 1 << (n + v)
+                  for v in sorted(range(n), key=lambda v: g.adjacency[v].bit_count())]
+        completes = domination._finisher(n, offers, pivots)
+        for depth in range(n):
+            met = 0
+            for v in order[:depth + 1]:
+                code, _, shows = labels[rng.next_below(len(labels))]
+                if code:
+                    met |= reach[v, shows]
+            demand = ((1 << 2 * n) - 1) & ~met
+            if depth % 2:
+                demand &= rng.next_bits(2 * n)
+            if demand:
+                yield g, completes, (depth + 1) * k, mask_of(order[depth + 1:]), demand
+
+
+def two_of_each_color(demand, n):
+    ones, twos = demand & ((1 << n) - 1), demand >> n
+    return ones.bit_count() >= 2 and twos.bit_count() >= 2
+
+
+class TestFinish:
+    """A branch with at most 2 units of weight left is ended by an exact
+    test; trying every set of at most two placements is the oracle."""
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_matches_brute_force(self, table):
+        labels, _ = TABLES[table]
+        seen = {}
+        for g, completes, start, undecided, demand in finish_states(labels):
+            for budget in range(3):
+                got = completes(demand, start, budget)
+                assert got == completes_brute(g, labels, undecided, demand, budget)
+                key = (budget, got, two_of_each_color(demand, g.order))
+                seen[key] = seen.get(key, 0) + 1
+        assert sum(seen.values()) > 3000
+        # both answers at budgets 1 and 2, and the color rule's states at 2
+        for budget in (1, 2):
+            assert seen.get((budget, True, False)) and seen.get((budget, False, False))
+        assert seen.get((2, True, True)) and seen.get((2, False, True))
+
+    def test_labels_show_no_more_colors_than_they_weigh(self):
+        # the finish skips a weight-1 offer that leaves two demands of each color
+        for labels in (domination._RAINBOW_LABELS, domination._ROMAN_LABELS):
+            for _, weight, shows in labels:
+                assert weight >= shows.bit_count()
 
 
 class TestAllMin:
