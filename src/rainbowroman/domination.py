@@ -43,7 +43,7 @@ class VerificationError(RuntimeError):
 
 _CODE_WEIGHT = (0, 1, 1, 2)
 _SWAPPED = (0, 2, 1, 3)  # each code with colors 1 and 2 exchanged
-# (code, weight, shows) in branch order; code 0 must be dominated
+# (code, weight, shows) in branch order; code 0, last, must be dominated
 _RAINBOW_LABELS = ((3, 2, 3), (1, 1, 1), (2, 1, 2), (0, 0, 0))
 _ROMAN_LABELS = ((2, 2, 3), (1, 1, 0), (0, 0, 0))
 _RAINBOW_TOKENS = {".": 0, "1": 1, "2": 2, "12": 3}
@@ -99,9 +99,9 @@ class SolveResult(NamedTuple):
 
 
 def parse_rainbow(text: str) -> RainbowAssignment:
-    """Parse comma-separated rainbow tokens: '.', '1', '2', '12'."""
+    """Parse comma-separated rainbow tokens: '.', '1', '2', '12' (blank at order 0)."""
     codes = []
-    for tok in text.strip().split(","):
+    for tok in text.split(",") if text.strip() else ():
         tok = tok.strip()
         if tok not in _RAINBOW_TOKENS:
             raise ValueError(f"bad rainbow token {tok!r}")
@@ -114,9 +114,9 @@ def format_rainbow(f: RainbowAssignment) -> str:
 
 
 def parse_roman(text: str) -> RomanAssignment:
-    """Parse comma-separated Roman tokens: '0', '1', '2'."""
+    """Parse comma-separated Roman tokens: '0', '1', '2' (blank at order 0)."""
     values = []
-    for tok in text.strip().split(","):
+    for tok in text.split(",") if text.strip() else ():
         tok = tok.strip()
         if tok not in ("0", "1", "2"):
             raise ValueError(f"bad Roman token {tok!r}")
@@ -159,7 +159,7 @@ def is_roman_dominating(g: Graph, f: RomanAssignment) -> bool:
 
 
 def _prism_bound(n: int, scan: list[tuple[int, int, int, int]], demand: int,
-                 undecided: int, budget: int) -> int | None:
+                 undecided: int, budget: int) -> int:
     """Admissible lower bound on the weight still to be added.
 
     Work in the prism G x K2, where placing color c on vertex x is one
@@ -168,17 +168,17 @@ def _prism_bound(n: int, scan: list[tuple[int, int, int, int]], demand: int,
     pairwise-disjoint supplier sets, scanning vertices by ascending
     degree; each packed demand then needs its own future unit.  An
     already-empty vertex missing a color with no undecided neighbour left
-    is hopeless: returns None.  Undecided vertices participate through
-    their rung: whatever nonempty label they take meets both of their
-    own demands.  The count holds for the Roman table too: a Roman 2 is
-    the two units {1, 2} and a Roman 1 is one rung unit.  ``scan`` holds
-    ``(bit v, bit n + v, rung, adjacency row)`` per vertex.
+    is hopeless: returns ``budget + 1``.  Undecided vertices participate
+    through their rung: whatever nonempty label they take meets both of
+    their own demands.  The count holds for the Roman table too: a Roman
+    2 is the two units {1, 2} and a Roman 1 is one rung unit.  ``scan``
+    holds ``(bit v, bit n + v, rung, adjacency row)`` per vertex.
 
     ``budget`` is the weight the branch may still add.  The count only
     grows, so once it exceeds the budget the branch is cut whatever the
     rest of the scan finds, a hopeless vertex included; the count so far
     is returned then.  Whenever the full count is at most the budget, it
-    is returned unchanged.
+    is returned unchanged; every other result exceeds the budget.
     """
     used = 0
     count = 0
@@ -191,14 +191,14 @@ def _prism_bound(n: int, scan: list[tuple[int, int, int, int]], demand: int,
         if demand & one:
             sup = rung | nbrs
             if sup == 0:
-                return None
+                return budget + 1
             if sup & used == 0:
                 used |= sup
                 count += 1
         if demand & two:
             sup = rung | nbrs << n
             if sup == 0:
-                return None
+                return budget + 1
             if sup & used == 0:
                 used |= sup
                 count += 1
@@ -208,21 +208,21 @@ def _prism_bound(n: int, scan: list[tuple[int, int, int, int]], demand: int,
 
 
 _Ranking = list[tuple[float, int, int]]
+_Offers = list[tuple[int, int, int]]
 
 
-def _rank(offers: list[tuple[int, int]], demand: int, start: int = 0) -> _Ranking:
+def _rank(offers: _Offers, demand: int, start: int = 0) -> _Ranking:
     """The offers ``offers[start:]`` that meet some of ``demand``, as
     ``(ratio, met, j)`` in ascending order: ``met`` the demand bits the
-    offer meets, ``ratio`` its weight / |met| and ``j`` its index in
-    ``offers``.  :func:`_sweep` reads the result."""
+    offer meets, ``ratio`` its weight / |met| and ``j`` the offer's own
+    index.  :func:`_sweep` reads the result."""
     ranked = [(weight / met.bit_count(), met, j)
-              for j, (weight, reach) in enumerate(offers[start:], start)
-              if (met := demand & reach)]
+              for weight, reach, j in offers[start:] if (met := demand & reach)]
     ranked.sort()
     return ranked
 
 
-def _sweep(ranked: _Ranking, demand: int, budget: int, start: int = 0) -> int | None:
+def _sweep(ranked: _Ranking, demand: int, budget: int, start: int = 0) -> int:
     """The ratio bound of :func:`_ratio_bound` from a ranking of
     :func:`_rank` made for this same ``demand``, counting only the
     entries whose index is at least ``start``."""
@@ -238,19 +238,18 @@ def _sweep(ranked: _Ranking, demand: int, budget: int, start: int = 0) -> int | 
             demand &= ~met
             if demand == 0:
                 break
-    if demand:
-        return None
-    return math.ceil(total - 1e-9)
+    return budget + 1 if demand else math.ceil(total - 1e-9)
 
 
-def _ratio_bound(offers: list[tuple[int, int]], demand: int, budget: int) -> int | None:
+def _ratio_bound(offers: _Offers, demand: int, budget: int) -> int:
     """Admissible set-cover lower bound on the weight still to be added.
 
-    ``offers`` holds one ``(weight, reach)`` pair per nonempty label and
-    undecided vertex x: the label's weight and the demand bits it would
-    meet if placed on x, x's own two plus the colors it shows to x's
-    neighbours.  Each unmet demand is charged the least ``weight /
-    |unmet demands the label would meet|`` over the offers that meet it,
+    ``offers`` holds one ``(weight, reach, j)`` triple per nonempty label
+    and undecided vertex x, j its index in the search's table: the
+    label's weight and the demand bits it would meet if placed on x, x's
+    own two plus the colors it shows to x's neighbours.  Each unmet
+    demand is charged the least ``weight / |unmet demands the label
+    would meet|`` over the offers that meet it,
     found by sweeping the offers in ascending ratio (:func:`_rank`, then
     :func:`_sweep`).  Any completion covers every demand, and a label it
     places pays exactly the charges of the demands it meets at its own
@@ -259,29 +258,29 @@ def _ratio_bound(offers: list[tuple[int, int]], demand: int, budget: int) -> int
     is its ceiling.  The sum is taken in floats: it has at most 2n <= 128
     terms and is at most 4n <= 256, since no charge exceeds 2, so its
     rounding error stays below 1e-11; subtracting 1e-9 before the
-    ceiling can then only lower the bound.  Returns None when some
-    demand has no possible supplier.
+    ceiling can then only lower the bound.
 
     ``budget`` is the weight the branch may still add.  The running
     charge only grows, so once it, less the 1e-9, exceeds the budget the
     branch is cut whatever the rest of the sweep finds, a demand without
     supplier included; the ceiling of the charge so far is returned then,
-    and it too exceeds the budget.  Whenever the full bound is at most
-    the budget, it is returned unchanged.
+    and it too exceeds the budget.  A demand without supplier gives
+    ``budget + 1``.  Whenever the full bound is at most the budget, it is
+    returned unchanged; every other result exceeds the budget.
     """
     return _sweep(_rank(offers, demand), demand, budget)
 
 
-def _finisher(n: int, offers: list[tuple[int, int]], pivots: list[int]
+def _finisher(n: int, offers: _Offers, pivots: list[int]
               ) -> Callable[[int, int, int], bool]:
     """The exact test that ends a branch with at most 2 units of weight left.
 
     Returns ``completes(demand, start, budget)``: whether labels of total
     weight at most ``budget`` <= 2, placed on distinct vertices whose
     offers lie in ``offers[start:]``, meet all of ``demand``, which is
-    not 0.  ``offers`` is the flat table of :func:`_ratio_bound`, k pairs
-    per vertex in branch order, and ``pivots`` holds each vertex's two
-    demand bits, least degree first.
+    not 0.  ``offers`` is the flat table of :func:`_ratio_bound`, k
+    ``(weight, reach, j)`` triples per vertex in branch order, and
+    ``pivots`` holds each vertex's two demand bits, least degree first.
 
     Some placed label meets the unmet demand of least degree, so the
     test walks that demand's suppliers: an offer that meets all of the
@@ -291,11 +290,12 @@ def _finisher(n: int, offers: list[tuple[int, int]], pivots: list[int]
     label never shows more colors than its weight, so a weight-1 offer
     meets at most one demand of a color it does not show, its own
     vertex's; a rest with two demands of each color is skipped.  Each
-    demand's suppliers, ``(j, weight, reach)`` in ascending index ``j``,
-    are listed on first use and walked from the end down to ``start``.
+    demand's suppliers, the table's own entries that meet it in ascending
+    index ``j``, are listed on first use and walked from the end down to
+    ``start``.
     """
     everyone = (1 << n) - 1
-    suppliers: dict[int, list[tuple[int, int, int]]] = {}
+    suppliers: dict[int, _Offers] = {}
 
     def completes(demand: int, start: int, budget: int) -> bool:
         if budget <= 0:
@@ -307,10 +307,8 @@ def _finisher(n: int, offers: list[tuple[int, int]], pivots: list[int]
         pivot &= -pivot
         supply = suppliers.get(pivot)
         if supply is None:
-            supply = suppliers[pivot] = [(j, weight, reach)
-                                         for j, (weight, reach) in enumerate(offers)
-                                         if reach & pivot]
-        for j, weight, reach in reversed(supply):
+            supply = suppliers[pivot] = [offer for offer in offers if offer[1] & pivot]
+        for weight, reach, j in reversed(supply):
             if j < start:
                 break
             if weight > budget:
@@ -345,35 +343,38 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
     ``shows`` being the color bits a label shows to its neighbours; code
     0 is the one label that must be dominated, by both colors.  Vertices
     are decided in descending-degree order (ties by index).  A branch is
-    cut when its weight exceeds ``limit``, or when its weight plus
-    :func:`_prism_bound` or :func:`_ratio_bound` does, or when either
-    bound finds an empty vertex that can no longer be dominated; with at
-    most 2 units of weight left, exactly when no completion exists.  Every
-    complete assignment reached is a dominating function of weight at
-    most ``limit``; it goes to ``leaf(codes, weight)``, which returns the
-    limit for the rest of the search, -1 to stop it.  ``codes`` is the
-    live list, so a leaf that keeps it must copy it.
+    cut when its weight exceeds ``limit``, or when :func:`_prism_bound`
+    or :func:`_ratio_bound` exceeds its budget, ``limit`` less the
+    branch's weight, as each does where an empty vertex can no longer be
+    dominated; with at most 2 units of weight left, exactly when no
+    completion exists.  Every complete assignment reached is a
+    dominating function of weight at most ``limit``; it goes to
+    ``leaf(codes, weight)``, which returns the limit for the rest of the
+    search, -1 to stop it.  ``codes`` is the live list, so a leaf that
+    keeps it must copy it.
 
     The offer table of :func:`_ratio_bound` is built once, flat and in
-    branch order: k pairs per vertex, one per nonempty label (k = 3 for
-    the rainbow table, 2 for the Roman one).  The vertices still
-    undecided below depth d are exactly ``branch[d + 1:]``, so a child at
-    depth d ranks the suffix ``offers[(d + 1) * k:]`` with :func:`_rank`
-    and sweeps it with :func:`_sweep`, and the root ranks the whole
-    table.  Both bounds get the budget ``limit`` less the branch's weight
-    and stop once their running total exceeds it; the root passes 4n,
-    which no bound exceeds.  Neither changes what the search does.  A
-    ranking is sorted on ``(ratio, met, j)``; of the entries that tie on
-    ``(ratio, met)`` only the first meets any demand in the sweep, so
-    every ratio bound, float total included, is what a walk over the
-    undecided vertices in index order gives; and a bound stops early
-    only where its full value, or None, would cut the branch too.  So
-    every pass visits the same nodes in the same order and reaches the
-    same first leaf.
+    branch order, and it is the search's one description of what a label
+    does: k ``(weight, reach, j)`` triples per vertex, one per nonempty
+    label (k = 3 for the rainbow table, 2 for the Roman one), ``j`` the
+    entry's own index.  The empty label is the last of both tables, so
+    label i placed on ``branch[d]`` is offer ``d * k + i``.  The vertices
+    still undecided below depth d are exactly ``branch[d + 1:]``, so a
+    child at depth d ranks the suffix ``offers[(d + 1) * k:]`` with
+    :func:`_rank` and sweeps it with :func:`_sweep`, and the root ranks
+    the whole table.  Both bounds get the budget and stop once their
+    running total exceeds it; the root passes 4n, which no bound exceeds.
+    Neither changes what the search does.  A ranking is sorted on
+    ``(ratio, met, j)``; of the entries that tie on ``(ratio, met)`` only
+    the first meets any demand in the sweep, so every ratio bound, float
+    total included, is what a walk over the undecided vertices in index
+    order gives; and a bound stops early only where its full value would
+    cut the branch too.  So every pass visits the same nodes in the same
+    order and reaches the same first leaf.
 
     Each node carries its unmet demand, every demand at the root.  A
-    child that places a label on v = ``branch[d]`` drops the reach of
-    that label's offer, v's rung and the colors it shows to v's
+    child that places label i on v = ``branch[d]`` drops the reach of
+    ``offers[d * k + i]``, v's rung and the colors the label shows to v's
     neighbours.  A child that leaves v empty keeps its parent's demand
     exactly: v moves from undecided to empty, and the empty label shows
     nothing.  So it ranks nothing: it sweeps the ranking its parent was
@@ -406,9 +407,10 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
     Swapping colors 1 and 2 maps a 2-rainbow dominating function to one
     of the same weight, so the search reaches one function of each such
     pair: a label showing color 2 alone waits until a label showing
-    color 1 alone sits on an earlier vertex.  The reached functions are
-    those with no singleton or with {1} as the first singleton in branch
-    order.  This keeps the first optimum in branch order: if its first
+    color 1 alone sits on an earlier vertex; until then the label loop
+    skips it before it counts as a node.  The reached functions are those
+    with no singleton or with {1} as the first singleton in branch order.
+    This keeps the first optimum in branch order: if its first
     singleton were {2}, its swap would agree with it before that vertex,
     carry {1} there, which is tried before {2}, and so come earlier.  The
     Roman table has no label showing one color alone, so the rule never
@@ -423,16 +425,14 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
             for v in sorted(range(n), key=lambda v: (deg[v], v))]
     # shown_to[v][s]: the demand bits met at v's neighbours by colors s
     shown_to = [(0, row, row << n, row | row << n) for row in adj]
-    placed = [(weight, shows) for code, weight, shows in labels if code]
-    k = len(placed)
-    offers = [(weight, rungs[v] | shown_to[v][shows])
-              for v in branch for weight, shows in placed]
-    # the labels allowed before any label showing color 1 alone is placed
-    opening = tuple(label for label in labels if label[2] != 2)
+    k = len(labels) - 1
+    offers = [(weight, rungs[v] | shown_to[v][shows], d * k + i)
+              for d, v in enumerate(branch)
+              for i, (_, weight, shows) in enumerate(labels[:k])]
     everyone = (1 << n) - 1
     every_demand = everyone | everyone << n
     # with every vertex undecided each demand has its own rung as supplier,
-    # so neither bound is None here, and none exceeds 4n
+    # so neither bound finds a demand without one, and none exceeds 4n
     ranked = _rank(offers, every_demand)
     root = max(_prism_bound(n, scan, every_demand, everyone, 4 * n),
                _sweep(ranked, every_demand, 4 * n))
@@ -451,14 +451,14 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
             v = branch[depth]
             remaining = undecided & ~(1 << v)
             start = (depth + 1) * k
-            for code, cost, shows in labels if opened else opening:
+            for j, (code, cost, shows) in enumerate(labels, depth * k):
                 w = weight + cost
-                if w > limit:
+                if w > limit or shows == 2 and not opened:
                     continue
                 nodes += 1
                 codes[v] = code
                 # the empty child keeps its parent's demand and ranking
-                unmet = demand & ~(rungs[v] | shown_to[v][shows]) if code else demand
+                unmet = demand & ~offers[j][1] if code else demand
                 ranking = ranked
                 budget = limit - w
                 if unmet and budget < 3:
@@ -466,17 +466,13 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
                         continue
                 elif unmet:
                     if code:
-                        bound = _prism_bound(n, scan, unmet, remaining, budget)
-                        if bound is None or bound > budget:
+                        if _prism_bound(n, scan, unmet, remaining, budget) > budget:
                             continue
                         ranking = _rank(offers, unmet, start)
-                    bound = _sweep(ranking, unmet, budget, start)
-                    if bound is None or bound > budget:
+                    if _sweep(ranking, unmet, budget, start) > budget:
                         continue
-                    if not code:
-                        bound = _prism_bound(n, scan, unmet, remaining, budget)
-                        if bound is None or bound > budget:
-                            continue
+                    if not code and _prism_bound(n, scan, unmet, remaining, budget) > budget:
+                        continue
                 descend(depth + 1, w, remaining, unmet, opened or shows == 1,
                         ranking)
 

@@ -34,14 +34,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def mask_of(vertices: Iterable[int]) -> int:
-    """Pack an iterable of vertex indices into a subset bitmask."""
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 class Graph(Record):
     """A finite simple undirected graph.
 

@@ -67,6 +67,13 @@ def _labelled_copies(order: int, mask: int) -> frozenset[int]:
     return frozenset(edge_mask(h, p) for p in itertools.permutations(range(order)))
 
 
+def _check_induced_caps(g: Graph, h: Graph) -> None:
+    if h.order > HAS_INDUCED_PATTERN_CAP:
+        raise ValueError(f"pattern order is capped at {HAS_INDUCED_PATTERN_CAP}")
+    if g.order > HAS_INDUCED_HOST_CAP:
+        raise ValueError(f"host graph order is capped at {HAS_INDUCED_HOST_CAP}")
+
+
 def has_induced(g: Graph, h: Graph) -> bool:
     """True iff some induced subgraph of g is isomorphic to h.
 
@@ -75,11 +82,8 @@ def has_induced(g: Graph, h: Graph) -> bool:
     labelled copies.  Every subset may be tried, so h is capped at order
     6 and g at order 30.
     """
+    _check_induced_caps(g, h)
     k = h.order
-    if k > HAS_INDUCED_PATTERN_CAP:
-        raise ValueError(f"pattern order is capped at {HAS_INDUCED_PATTERN_CAP}")
-    if g.order > HAS_INDUCED_HOST_CAP:
-        raise ValueError(f"host graph order is capped at {HAS_INDUCED_HOST_CAP}")
     if k > g.order:
         return False
     copies = _labelled_copies(k, edge_mask(h, range(k)))
@@ -97,11 +101,12 @@ def is_free(g: Graph, family) -> bool:
 
 def find_induced_member(g: Graph, family) -> str | None:
     """Name of the first (name, Graph) pair of ``family`` whose graph g
-    contains induced, else None."""
-    for name, h in family:
-        if has_induced(g, h):
-            return name
-    return None
+    contains induced, else None.  The caps of :func:`has_induced` are
+    checked for every pattern before any pattern is searched."""
+    family = tuple(family)
+    for _, h in family:
+        _check_induced_caps(g, h)
+    return next((name for name, h in family if has_induced(g, h)), None)
 
 
 def _every_induced(g: Graph, holds) -> bool:

@@ -25,10 +25,18 @@ from rainbowroman.domination import (SOLVER_ORDER_CAP, RainbowAssignment,
                                      RomanAssignment, SolveResult, all_min_2rdf)
 from rainbowroman.graph import (CANONICAL_ORDER_CAP, Graph, bits,
                                 canonical_form, edge_mask, from_edge_mask,
-                                induced_subgraph, mask_of)
+                                induced_subgraph)
 from rainbowroman.structure import audit_function
 
 PRODUCT_CHECK_ORDER_CAP = 20
+
+
+def mask_of(vertices) -> int:
+    """Pack an iterable of vertex indices into a subset bitmask."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
 
 
 def rainbow_valid(g, codes) -> bool:
@@ -245,7 +253,7 @@ def ratio_bound_by_mask(offers, undecided, demand) -> int | None:
 def ratio_bound_exact(offers, demand) -> int | None:
     """The ratio bound in exact arithmetic, straight off its definition.
 
-    ``offers`` is the flat ``(weight, reach)`` table of
+    ``offers`` is the flat ``(weight, reach, j)`` table of
     ``domination._ratio_bound``.  Each demand bit is charged the least
     ``weight / |demand & reach|`` over the offers whose reach holds it; the
     bound is the ceiling of the sum, or None when some demand has no offer.
@@ -253,7 +261,7 @@ def ratio_bound_exact(offers, demand) -> int | None:
     total = Fraction(0)
     for d in bits(demand):
         charges = [Fraction(weight, (demand & reach).bit_count())
-                   for weight, reach in offers if reach >> d & 1]
+                   for weight, reach, _ in offers if reach >> d & 1]
         if not charges:
             return None
         total += min(charges)

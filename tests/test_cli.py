@@ -18,7 +18,7 @@ from rainbowroman import (catalog, cli, constructions, domination, hereditary,
 from rainbowroman.catalog import scan
 from rainbowroman.domination import is_2rainbow_dominating, parse_rainbow
 from rainbowroman.graph import (cycle_graph, disjoint_union, parse_edge_list,
-                                serialize_edge_list)
+                                path_graph, serialize_edge_list)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 C4 = str(FIXTURES / "c4.el")
@@ -154,6 +154,13 @@ class TestConvert:
         assert code == 1 and out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("direction", ["roman-to-r2", "r2-to-roman"])
+    def test_order_0(self, capsys, tmp_path, direction):
+        # the blank witness that solve prints for the order-0 graph
+        code, out, _ = run(capsys, "convert", edgeless(tmp_path, 0), "",
+                           "--direction", direction)
+        assert (code, out) == (0, '{"assignment":"","weight":0}\n')
+
     def test_bad_token(self, capsys):
         code, _, err = run(capsys, "convert", C4, "1,0,x,0",
                            "--direction", "roman-to-r2")
@@ -278,6 +285,17 @@ class TestRecognize:
         big = edgeless(tmp_path, hereditary.HAS_INDUCED_HOST_CAP + 1)
         code, out, err = run(capsys, "recognize", big, "--family", "theorem2")
         assert code == 1 and out == "" and "capped" in err
+
+    def test_every_pattern_cap_checked_before_search(self, capsys, monkeypatch,
+                                                      tmp_path):
+        # the order-6 pattern comes first and is within the cap, but no
+        # subset is tried for it before the order-7 pattern is refused
+        p6 = tmp_path / "p6.el"
+        p6.write_text(serialize_edge_list(path_graph(6)))
+        refuse_search(monkeypatch, hereditary, "edge_mask")
+        code, out, err = run(capsys, "recognize", edgeless(tmp_path, 30), "--family",
+                             str(p6), edgeless(tmp_path, 7))
+        assert (code, out, err) == (1, "", "error: pattern order is capped at 6\n")
 
     def test_disagreement_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(hereditary, "hereditary_equality_direct", lambda g: True)

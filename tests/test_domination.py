@@ -21,14 +21,14 @@ from rainbowroman.domination import (ALL_MIN_ORDER_CAP, SOLVER_ORDER_CAP,
 from rainbowroman.graph import (complete_graph, components, connected,
                                 cycle_graph, disjoint_union, empty_graph,
                                 from_edge_mask, graph_from_edges,
-                                induced_subgraph, mask_of, path_graph,
-                                relabel, star_graph)
+                                induced_subgraph, path_graph, relabel,
+                                star_graph)
 from rainbowroman.reduction import build_reduction, random_formula
 from rainbowroman.rng import SplitMix64
 
 from oracles import (PRODUCT_CHECK_ORDER_CAP, RAINBOW_BRANCH_ORDER,
                      ROMAN_BRANCH_ORDER, completes_brute, first_optimum,
-                     gamma_r2_product_check, gamma_roman_subsets,
+                     gamma_r2_product_check, gamma_roman_subsets, mask_of,
                      minimise_descending, minimise_unsplit, naive_gamma_r2,
                      naive_gamma_roman, naive_min_2rdfs,
                      prism_bound_unbudgeted, rainbow_valid, rainbow_weight,
@@ -93,6 +93,14 @@ class TestAssignments:
         g = parse_roman(" 2,0, 1 ")
         assert g.values == (2, 0, 1)
         assert format_roman(g) == "2,0,1"
+
+    def test_witnesses_round_trip_to_order_4(self):
+        # order 0 included: its witnesses format as blank text
+        for n in range(5):
+            for g in all_labeled(n):
+                f, h = gamma_r2(g).witness, gamma_roman(g).witness
+                assert parse_rainbow(format_rainbow(f)) == f
+                assert parse_roman(format_roman(h)) == h
 
     def test_parse_rejects_bad_tokens(self):
         with pytest.raises(ValueError, match="bad rainbow token"):
@@ -487,12 +495,19 @@ class TestOfferTable:
             assert (deepening_passes(domination._search, g, labels)
                     == deepening_passes(search_by_mask, g, labels))
 
+    @pytest.mark.parametrize("table", TABLES)
+    def test_empty_label_is_last(self, table):
+        # a child that places label i on its vertex reads that vertex's offer i
+        codes = [code for code, _, _ in TABLES[table][0]]
+        assert codes.index(0) == len(codes) - 1
+
     def test_ratio_bound_is_exact(self, bound_calls):
         calls = bound_calls["_ratio_bound"]
         assert len(calls) > 1000
         for (offers, demand, budget), result, _ in calls:
             want = ratio_bound_exact(offers, demand)
-            assert domination._ratio_bound(offers, demand, UNREACHABLE) == want
+            full = domination._ratio_bound(offers, demand, UNREACHABLE)
+            assert full == want or (want is None and full > UNREACHABLE)
             assert result == want or (over(result, budget) and over(want, budget))
 
     def test_reused_ranking_sweeps_like_a_fresh_one(self, bound_calls):
@@ -515,6 +530,8 @@ class TestOfferTable:
                 full = prism_bound_unbudgeted(*rest)
             else:
                 full = bound(*rest, UNREACHABLE)
+                if full > UNREACHABLE:
+                    full = None  # no supplier for some demand
             for budget in range(max(value, full or 0) + 2):
                 got = bound(*rest, budget)
                 assert over(got, budget) == over(full, budget)
@@ -530,24 +547,26 @@ class TestOfferTable:
         rung = [(1 << v) | (1 << (n + v)) for v in range(n)]
         scan = [(1 << v, 1 << (n + v), rung[v], adj[v]) for v in (0, 2, 1)]
         row = adj[2]  # the offers of vertex 2: {1, 2}, {1} and {2}
-        offers = [(2, rung[2] | row | row << n), (1, rung[2] | row), (1, rung[2] | row << n)]
+        offers = [(2, rung[2] | row | row << n, 0), (1, rung[2] | row, 1),
+                  (1, rung[2] | row << n, 2)]
         demand = 1 << n | 1 << (n + 2)
         prism = domination._prism_bound(n, scan, demand, 1 << 2, budget)
         ratio = domination._ratio_bound(offers, demand, budget)
         assert over(prism, budget) and over(ratio, budget)
         if budget == UNREACHABLE:
-            assert prism is None and ratio is None
+            assert prism == ratio == UNREACHABLE + 1
 
 
 def finish_states(labels):
     """Seeded random inputs of ``domination._finisher`` on graphs of order
     4-10, as ``(g, completes, start, undecided, demand)``.
 
-    The vertices take a random order, the offer table follows it, k pairs
-    per vertex, and the pivots are each vertex's two demand bits, least
-    degree first.  At each depth d the first d + 1 vertices take random
-    labels, and the demand is what they leave unmet, or, every other
-    time, a random part of it; ``start`` is (d + 1) * k."""
+    The vertices take a random order, the offer table follows it, k
+    ``(weight, reach, j)`` triples per vertex, and the pivots are each
+    vertex's two demand bits, least degree first.  At each depth d the
+    first d + 1 vertices take random labels, and the demand is what they
+    leave unmet, or, every other time, a random part of it; ``start`` is
+    (d + 1) * k."""
     rng = SplitMix64(2020)
     placed = [(weight, shows) for code, weight, shows in labels if code]
     k = len(placed)
@@ -557,7 +576,8 @@ def finish_states(labels):
         reach = {(v, shows): 1 << v | 1 << (n + v) | (g.adjacency[v] if shows & 1 else 0)
                  | (g.adjacency[v] << n if shows & 2 else 0)
                  for v in range(n) for _, shows in placed}
-        offers = [(weight, reach[v, shows]) for v in order for weight, shows in placed]
+        offers = [(weight, reach[v, shows], d * k + i) for d, v in enumerate(order)
+                  for i, (weight, shows) in enumerate(placed)]
         pivots = [1 << v | 1 << (n + v)
                   for v in sorted(range(n), key=lambda v: g.adjacency[v].bit_count())]
         completes = domination._finisher(n, offers, pivots)

@@ -13,12 +13,12 @@ from rainbowroman.graph import (EdgeListError, Graph, bits, canonical_form,
                                 cycle_graph, diamond_graph, disjoint_union,
                                 edge_mask, empty_graph, from_edge_mask,
                                 graph_from_edges, induced_subgraph, is_k4_free,
-                                mask_of, parse_edge_list, path_graph, relabel,
+                                parse_edge_list, path_graph, relabel,
                                 serialize_edge_list, star_graph)
 from rainbowroman.rng import SplitMix64
 
 from oracles import (canonical_form_unpruned, connected_brute,
-                     graph_validation_error, has_k4_brute, isomorphic)
+                     graph_validation_error, has_k4_brute, isomorphic, mask_of)
 
 
 def all_labeled(n):

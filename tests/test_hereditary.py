@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from rainbowroman import hereditary
 from rainbowroman.catalog import enumerate_graphs
 from rainbowroman.domination import all_min_2rdf, is_2rainbow_dominating
 from rainbowroman.graph import (complete_graph, cycle_graph, disjoint_union,
@@ -75,6 +76,15 @@ class TestHasInduced:
     def test_pattern_cap(self):
         with pytest.raises(ValueError, match="capped"):
             has_induced(complete_graph(8), path_graph(7))
+
+    def test_family_caps_checked_before_any_search(self, monkeypatch):
+        def no_subset(g, vertices):
+            raise AssertionError("a pattern was searched before every cap was checked")
+
+        monkeypatch.setattr(hereditary, "edge_mask", no_subset)
+        family = [("P6", path_graph(6)), ("K7bar", empty_graph(7))]
+        with pytest.raises(ValueError, match="pattern order is capped at 6"):
+            find_induced_member(empty_graph(30), family)
 
 
 class TestFamilies:
