@@ -200,8 +200,6 @@ def _record(g: Graph, form: bytes, kind: str, index: int | None, r2: int,
 class GapReport(NamedTuple):
     """Scan result: per-graph rows plus a trailing aggregate object."""
 
-    max_order: int
-    sample: tuple[int, int, int] | None
     rows: list[dict]
     aggregate: dict
 
@@ -283,5 +281,4 @@ def scan(max_order: int, sample: tuple[int, int, int] | None = None) -> GapRepor
         "max_gap": max((r["gap"] for r in rows), default=0),
         "gap_by_order": gap_by_order,
     }
-    return GapReport(max_order=max_order, sample=sample, rows=rows,
-                     aggregate=aggregate)
+    return GapReport(rows=rows, aggregate=aggregate)

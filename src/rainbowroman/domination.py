@@ -174,11 +174,12 @@ def _prism_bound(n: int, scan: list[tuple[int, int, int, int]], demand: int,
     2 is the two units {1, 2} and a Roman 1 is one rung unit.  ``scan``
     holds ``(bit v, bit n + v, rung, adjacency row)`` per vertex.
 
-    ``budget`` is the weight the branch may still add.  The count only
-    grows, so once it exceeds the budget the branch is cut whatever the
-    rest of the scan finds, a hopeless vertex included; the count so far
-    is returned then.  Whenever the full count is at most the budget, it
-    is returned unchanged; every other result exceeds the budget.
+    ``budget`` is the weight the branch may still add; of the search's
+    bounds only this one stops at it.  The count only grows, so once it
+    exceeds the budget the branch is cut whatever the rest of the scan
+    finds, a hopeless vertex included; the count so far is returned then.
+    Whenever the full count is at most the budget, it is returned
+    unchanged; every other result exceeds the budget.
     """
     used = 0
     count = 0
@@ -222,10 +223,30 @@ def _rank(offers: _Offers, demand: int, start: int = 0) -> _Ranking:
     return ranked
 
 
-def _sweep(ranked: _Ranking, demand: int, budget: int, start: int = 0) -> int:
-    """The ratio bound of :func:`_ratio_bound` from a ranking of
-    :func:`_rank` made for this same ``demand``, counting only the
-    entries whose index is at least ``start``."""
+def _sweep(ranked: _Ranking, demand: int, start: int = 0) -> float:
+    """Admissible set-cover lower bound on the weight still to be added.
+
+    ``ranked`` is a ranking of :func:`_rank` made for this same
+    ``demand``; only its entries of index at least ``start`` count.  The
+    offers are ``(weight, reach, j)`` triples, one per nonempty label and
+    undecided vertex x: the label's weight and the demand bits it would
+    meet if placed on x, x's own two plus the colors it shows to x's
+    neighbours.  Each unmet demand is charged the least ``weight /
+    |unmet demands the label would meet|`` over the offers that meet it,
+    found by sweeping the offers in ascending ratio.  Any completion
+    covers every demand, and a label it places pays exactly the charges
+    of the demands it meets at its own ratio, which is at least their
+    least ratio; so the sum of charges is at most the weight still to
+    come, and since weights are integers so is its ceiling.  The sum is
+    taken in floats: it has at most 2n <= 128 terms and is at most 4n <=
+    256, since no charge exceeds 2, so its rounding error stays below
+    1e-11; subtracting 1e-9 before the ceiling can then only lower the
+    bound.
+
+    The sweep takes no budget: it runs until every demand is met and
+    returns the full bound, or ``math.inf`` when some demand has no
+    supplier.
+    """
     total = 0.0
     for ratio, met, j in ranked:
         if j < start:
@@ -233,42 +254,10 @@ def _sweep(ranked: _Ranking, demand: int, budget: int, start: int = 0) -> int:
         met &= demand
         if met:
             total += ratio * met.bit_count()
-            if total - 1e-9 > budget:
-                return math.ceil(total - 1e-9)
             demand &= ~met
             if demand == 0:
                 break
-    return budget + 1 if demand else math.ceil(total - 1e-9)
-
-
-def _ratio_bound(offers: _Offers, demand: int, budget: int) -> int:
-    """Admissible set-cover lower bound on the weight still to be added.
-
-    ``offers`` holds one ``(weight, reach, j)`` triple per nonempty label
-    and undecided vertex x, j its index in the search's table: the
-    label's weight and the demand bits it would meet if placed on x, x's
-    own two plus the colors it shows to x's neighbours.  Each unmet
-    demand is charged the least ``weight / |unmet demands the label
-    would meet|`` over the offers that meet it,
-    found by sweeping the offers in ascending ratio (:func:`_rank`, then
-    :func:`_sweep`).  Any completion covers every demand, and a label it
-    places pays exactly the charges of the demands it meets at its own
-    ratio, which is at least their least ratio; so the sum of charges is
-    at most the weight still to come, and since weights are integers so
-    is its ceiling.  The sum is taken in floats: it has at most 2n <= 128
-    terms and is at most 4n <= 256, since no charge exceeds 2, so its
-    rounding error stays below 1e-11; subtracting 1e-9 before the
-    ceiling can then only lower the bound.
-
-    ``budget`` is the weight the branch may still add.  The running
-    charge only grows, so once it, less the 1e-9, exceeds the budget the
-    branch is cut whatever the rest of the sweep finds, a demand without
-    supplier included; the ceiling of the charge so far is returned then,
-    and it too exceeds the budget.  A demand without supplier gives
-    ``budget + 1``.  Whenever the full bound is at most the budget, it is
-    returned unchanged; every other result exceeds the budget.
-    """
-    return _sweep(_rank(offers, demand), demand, budget)
+    return math.inf if demand else math.ceil(total - 1e-9)
 
 
 def _finisher(n: int, offers: _Offers, pivots: list[int]
@@ -278,9 +267,11 @@ def _finisher(n: int, offers: _Offers, pivots: list[int]
     Returns ``completes(demand, start, budget)``: whether labels of total
     weight at most ``budget`` <= 2, placed on distinct vertices whose
     offers lie in ``offers[start:]``, meet all of ``demand``, which is
-    not 0.  ``offers`` is the flat table of :func:`_ratio_bound`, k
-    ``(weight, reach, j)`` triples per vertex in branch order, and
-    ``pivots`` holds each vertex's two demand bits, least degree first.
+    not 0.  ``offers`` is the search's flat offer table, k ``(weight,
+    reach, j)`` triples per vertex in branch order (see :func:`_search`
+    and :func:`_sweep`), and ``pivots`` holds each vertex's two demand
+    bits, least degree first.  Every child with at most 2 units left
+    takes this test in place of both bounds.
 
     Some placed label meets the unmet demand of least degree, so the
     test walks that demand's suppliers: an offer that meets all of the
@@ -343,34 +334,37 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
     ``shows`` being the color bits a label shows to its neighbours; code
     0 is the one label that must be dominated, by both colors.  Vertices
     are decided in descending-degree order (ties by index).  A branch is
-    cut when its weight exceeds ``limit``, or when :func:`_prism_bound`
-    or :func:`_ratio_bound` exceeds its budget, ``limit`` less the
-    branch's weight, as each does where an empty vertex can no longer be
-    dominated; with at most 2 units of weight left, exactly when no
-    completion exists.  Every complete assignment reached is a
-    dominating function of weight at most ``limit``; it goes to
-    ``leaf(codes, weight)``, which returns the limit for the rest of the
-    search, -1 to stop it.  ``codes`` is the live list, so a leaf that
-    keeps it must copy it.
+    cut when its weight exceeds ``limit``, or when a bound exceeds its
+    budget, ``limit`` less the branch's weight, as each does where an
+    empty vertex can no longer be dominated; with at most 2 units of
+    weight left, exactly when no completion exists.  Every complete
+    assignment reached is a dominating function of weight at most
+    ``limit``; it goes to ``leaf(codes, weight)``, which returns the
+    limit for the rest of the search, -1 to stop it.  ``codes`` is the
+    live list, so a leaf that keeps it must copy it.
 
-    The offer table of :func:`_ratio_bound` is built once, flat and in
-    branch order, and it is the search's one description of what a label
-    does: k ``(weight, reach, j)`` triples per vertex, one per nonempty
-    label (k = 3 for the rainbow table, 2 for the Roman one), ``j`` the
-    entry's own index.  The empty label is the last of both tables, so
-    label i placed on ``branch[d]`` is offer ``d * k + i``.  The vertices
-    still undecided below depth d are exactly ``branch[d + 1:]``, so a
-    child at depth d ranks the suffix ``offers[(d + 1) * k:]`` with
-    :func:`_rank` and sweeps it with :func:`_sweep`, and the root ranks
-    the whole table.  Both bounds get the budget and stop once their
-    running total exceeds it; the root passes 4n, which no bound exceeds.
-    Neither changes what the search does.  A ranking is sorted on
-    ``(ratio, met, j)``; of the entries that tie on ``(ratio, met)`` only
-    the first meets any demand in the sweep, so every ratio bound, float
-    total included, is what a walk over the undecided vertices in index
-    order gives; and a bound stops early only where its full value would
-    cut the branch too.  So every pass visits the same nodes in the same
-    order and reaches the same first leaf.
+    The offer table is built once, flat and in branch order, and it is
+    the search's one description of what a label does: k ``(weight,
+    reach, j)`` triples per vertex, one per nonempty label (k = 3 for the
+    rainbow table, 2 for the Roman one), ``j`` the entry's own index.
+    The empty label is the last of both tables, so label i placed on
+    ``branch[d]`` is offer ``d * k + i``.  The vertices still undecided
+    below depth d are exactly ``branch[d + 1:]``.
+
+    Every child with budget at least 3 takes one cut sequence: first
+    :func:`_prism_bound`, then, for a child that places a label, a
+    ranking of the suffix ``offers[(d + 1) * k:]`` by :func:`_rank`,
+    then the ratio bound :func:`_sweep`; the root ranks the whole table.
+    A child is cut when either bound exceeds its budget, so their order
+    changes no node.  Only the packing count stops once its running total
+    exceeds the budget, where its full value would cut the branch too;
+    the root passes it 4n, which it never exceeds.  The sweep always runs
+    to its end.  A ranking is sorted on ``(ratio, met, j)``; of the
+    entries that tie on ``(ratio, met)`` only the first meets any demand
+    in the sweep, so every ratio bound, float total included, is what a
+    walk over the undecided vertices in index order gives.  So every pass
+    visits the same nodes in the same order and reaches the same first
+    leaf.
 
     Each node carries its unmet demand, every demand at the root.  A
     child that places label i on v = ``branch[d]`` drops the reach of
@@ -385,9 +379,7 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
     demand each entry kept is the ``(ratio, met, j)`` that a fresh
     ranking of the suffix would build, and a sorted list with entries
     left out is still sorted, so the sweep reads the fresh ranking entry
-    for entry.  Such a child takes this cheap sweep before
-    :func:`_prism_bound`, every other child after it; a branch is cut
-    when either bound cuts, so the order changes no node.
+    for entry.
 
     A child whose budget ``limit - w`` is at most 2 takes neither bound.
     It asks the exact test of :func:`_finisher` whether labels of total
@@ -435,7 +427,7 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
     # so neither bound finds a demand without one, and none exceeds 4n
     ranked = _rank(offers, every_demand)
     root = max(_prism_bound(n, scan, every_demand, everyone, 4 * n),
-               _sweep(ranked, every_demand, 4 * n))
+               _sweep(ranked, every_demand))
     completes = _finisher(n, offers, [rung for _, _, rung, _ in scan])
     codes = [0] * n
 
@@ -465,13 +457,11 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
                     if not completes(unmet, start, budget):
                         continue
                 elif unmet:
-                    if code:
-                        if _prism_bound(n, scan, unmet, remaining, budget) > budget:
-                            continue
-                        ranking = _rank(offers, unmet, start)
-                    if _sweep(ranking, unmet, budget, start) > budget:
+                    if _prism_bound(n, scan, unmet, remaining, budget) > budget:
                         continue
-                    if not code and _prism_bound(n, scan, unmet, remaining, budget) > budget:
+                    if code:
+                        ranking = _rank(offers, unmet, start)
+                    if _sweep(ranking, unmet, start) > budget:
                         continue
                 descend(depth + 1, w, remaining, unmet, opened or shows == 1,
                         ranking)

@@ -223,10 +223,11 @@ def prism_bound_unbudgeted(n, scan, demand, undecided) -> int | None:
 
 
 def ratio_bound_by_mask(offers, undecided, demand) -> int | None:
-    """``domination._ratio_bound`` as it was before the flat offer table:
-    ``offers`` holds, per nonempty label, its weight and a per-vertex list
-    of the demand bits it would meet, and the undecided mask is walked one
-    vertex at a time, in index order, to collect the ranking.  No budget."""
+    """The ratio bound, ``domination._rank`` then ``domination._sweep``, as
+    it was before the flat offer table: ``offers`` holds, per nonempty
+    label, its weight and a per-vertex list of the demand bits it would
+    meet, and the undecided mask is walked one vertex at a time, in index
+    order, to collect the ranking.  No budget."""
     ranked = []
     while undecided:
         low = undecided & -undecided
@@ -253,8 +254,8 @@ def ratio_bound_by_mask(offers, undecided, demand) -> int | None:
 def ratio_bound_exact(offers, demand) -> int | None:
     """The ratio bound in exact arithmetic, straight off its definition.
 
-    ``offers`` is the flat ``(weight, reach, j)`` table of
-    ``domination._ratio_bound``.  Each demand bit is charged the least
+    ``offers`` is a flat ``(weight, reach, j)`` table as
+    ``domination._rank`` reads it.  Each demand bit is charged the least
     ``weight / |demand & reach|`` over the offers whose reach holds it; the
     bound is the ceiling of the sum, or None when some demand has no offer.
     """

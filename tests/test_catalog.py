@@ -174,6 +174,17 @@ class TestRandomGraphs:
         with pytest.raises(ValueError, match="non-negative"):
             list(random_graphs(3, -1, seed=0))
 
+    def test_generator_stream(self):
+        # the scan digests rest on this stream; pin it directly too
+        rng = SplitMix64(0)
+        assert [rng.next_u64() for _ in range(3)] == [
+            0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f]
+        assert SplitMix64(0).next_bits(0) == 0
+        # 70 bits: the first word, then the low 6 bits of the second
+        assert SplitMix64(0).next_bits(70) == 0x34 << 64 | 0xe220a8397b1dcdaf
+        with pytest.raises(ValueError, match="bound must be positive"):
+            SplitMix64(1).next_below(0)
+
 
 class TestScan:
     def test_one_canonical_form_per_candidate_and_sample(self, monkeypatch):

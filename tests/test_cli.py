@@ -422,6 +422,17 @@ class TestConstruct:
         assert code == 2 and out == ""
         assert err.startswith("inconsistency:")
 
+    def test_wrong_gap_exits_2(self, capsys, monkeypatch):
+        # gap_instance's own check fails: gamma_roman reports one too many
+        def one_too_many(g, real=constructions.gamma_roman):
+            result = real(g)
+            return result._replace(value=result.value + 1)
+
+        monkeypatch.setattr(constructions, "gamma_roman", one_too_many)
+        code, out, err = run(capsys, "construct", "--op", "gap-k", "--k", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("inconsistency:")
+
 
 class TestScan:
     def test_jsonl_matches_library(self, capsys):

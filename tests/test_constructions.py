@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from rainbowroman import constructions
 from rainbowroman.constructions import (GAP_INSTANCE_CAP, add_c4,
                                         gap_instance, star_link)
-from rainbowroman.domination import gamma_r2, gamma_roman
+from rainbowroman.domination import VerificationError, gamma_r2, gamma_roman
 from rainbowroman.graph import (complete_graph, components, connected,
                                 cycle_graph, disjoint_union, empty_graph,
                                 from_edge_mask, is_k4_free, path_graph,
@@ -93,6 +94,16 @@ class TestGapInstance:
             with pytest.raises(ValueError) as error:
                 gap_instance(k)
             assert str(error.value) == f"gap is capped to 0..{GAP_INSTANCE_CAP}"
+
+    def test_wrong_gap_raises(self, monkeypatch):
+        # the instance is re-solved before it is returned
+        def one_too_many(g):
+            result = gamma_roman(g)
+            return result._replace(value=result.value + 1)
+
+        monkeypatch.setattr(constructions, "gamma_roman", one_too_many)
+        with pytest.raises(VerificationError, match="gap 3, wanted 2"):
+            gap_instance(2)
 
     def test_star_anchor_layout(self):
         g = gap_instance(1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 import time
 
@@ -433,14 +434,13 @@ def bound_calls():
 
     The search takes each ratio bound as a ``_sweep`` of a ranking: one that
     ``_rank`` has just made, or, at a child that leaves its vertex empty,
-    the one its parent was given.  Each sweep is recorded under
-    ``"_ratio_bound"`` with the arguments of the fresh ``_ratio_bound`` it
-    stands for, ``(offers[(depth + 1) * k:], demand, budget)``, or the whole
-    table at the root.  ``offers``, ``depth`` and ``k`` are read from the
-    calling frame of ``_search``, so the record does not depend on the
-    cutoff the sweep was given.  The sweeps of a parent's ranking are
-    recorded under ``"reused"`` too."""
-    calls = {"_prism_bound": [], "_ratio_bound": [], "reused": []}
+    the one its parent was given.  Each sweep is recorded under ``"_sweep"``
+    as ``(offers[(depth + 1) * k:], demand, budget)``, the offers a fresh
+    ranking would read, or the whole table and 4n at the root.  ``offers``,
+    ``depth``, ``k`` and ``budget`` are read from the calling frame of
+    ``_search``.  The sweeps of a parent's ranking are recorded under
+    ``"reused"`` too."""
+    calls = {"_prism_bound": [], "_sweep": [], "reused": []}
     current = {name: [] for name in calls}
     fresh = []
 
@@ -453,15 +453,16 @@ def bound_calls():
         fresh[:] = [real(*args)]
         return fresh[0]
 
-    def sweep(ranked, demand, budget, start=0, real=domination._sweep):
-        result = real(ranked, demand, budget, start)
+    def sweep(ranked, demand, start=0, real=domination._sweep):
+        result = real(ranked, demand, start)
         caller = sys._getframe(1).f_locals
         offers = caller["offers"]
         if "depth" in caller:
             offers = offers[(caller["depth"] + 1) * caller["k"]:]
-        current["_ratio_bound"].append(((offers, demand, budget), result))
+        record = (offers, demand, caller.get("budget", 4 * caller["n"]))
+        current["_sweep"].append((record, result))
         if not (fresh and ranked is fresh[0]):
-            current["reused"].append(((offers, demand, budget), result))
+            current["reused"].append((record, result))
         fresh.clear()
         return result
 
@@ -482,10 +483,25 @@ def over(result, budget):
     return result is None or result > budget
 
 
+def fresh_sweep(offers, demand):
+    return domination._sweep(domination._rank(offers, demand), demand)
+
+
+def assert_sweeps_exact(calls):
+    """Each recorded sweep equals a fresh ranking's sweep and the exact
+    oracle, ``math.inf`` where some demand has no supplier."""
+    assert len(calls) > 1000
+    assert sum(result > budget for (_, _, budget), result, _ in calls) > 100
+    for (offers, demand, _), result, _ in calls:
+        want = ratio_bound_exact(offers, demand)
+        assert result == fresh_sweep(offers, demand)
+        assert result == (math.inf if want is None else want)
+
+
 class TestOfferTable:
-    """The ratio bound reads a flat per-depth offer table and both bounds stop
-    at a budget; the search that walked the undecided mask, with no budget,
-    is the oracle."""
+    """The ratio bound reads a flat per-depth offer table and the packing
+    count stops at a budget; the search that walked the undecided mask, with
+    no budget, is the oracle."""
 
     @pytest.mark.parametrize("table", TABLES)
     @pytest.mark.parametrize("corpus", MASK_CORPORA)
@@ -502,38 +518,21 @@ class TestOfferTable:
         assert codes.index(0) == len(codes) - 1
 
     def test_ratio_bound_is_exact(self, bound_calls):
-        calls = bound_calls["_ratio_bound"]
-        assert len(calls) > 1000
-        for (offers, demand, budget), result, _ in calls:
-            want = ratio_bound_exact(offers, demand)
-            full = domination._ratio_bound(offers, demand, UNREACHABLE)
-            assert full == want or (want is None and full > UNREACHABLE)
-            assert result == want or (over(result, budget) and over(want, budget))
+        assert_sweeps_exact(bound_calls["_sweep"])
 
     def test_reused_ranking_sweeps_like_a_fresh_one(self, bound_calls):
         # a child that leaves its vertex empty keeps its parent's demand and
         # sweeps its parent's ranking past its own vertex's offers
-        calls = bound_calls["reused"]
-        assert len(calls) > 1000
-        for (offers, demand, budget), result, _ in calls:
-            want = domination._ratio_bound(offers, demand, budget)
-            assert result == want or (over(result, budget) and over(want, budget))
+        assert_sweeps_exact(bound_calls["reused"])
 
-    @pytest.mark.parametrize("name", ["_prism_bound", "_ratio_bound"])
-    def test_budget_changes_only_results_that_cut(self, bound_calls, name):
-        bound = getattr(domination, name)
-        calls = bound_calls[name]
+    def test_budget_changes_only_results_that_cut(self, bound_calls):
+        calls = bound_calls["_prism_bound"]
         assert sum(over(result, args[-1]) for args, result, _ in calls) > 100
         for args, _, value in calls:
             rest = args[:-1]
-            if name == "_prism_bound":
-                full = prism_bound_unbudgeted(*rest)
-            else:
-                full = bound(*rest, UNREACHABLE)
-                if full > UNREACHABLE:
-                    full = None  # no supplier for some demand
+            full = prism_bound_unbudgeted(*rest)
             for budget in range(max(value, full or 0) + 2):
-                got = bound(*rest, budget)
+                got = domination._prism_bound(*rest, budget)
                 assert over(got, budget) == over(full, budget)
                 if not over(full, budget):
                     assert got == full
@@ -551,10 +550,10 @@ class TestOfferTable:
                   (1, rung[2] | row << n, 2)]
         demand = 1 << n | 1 << (n + 2)
         prism = domination._prism_bound(n, scan, demand, 1 << 2, budget)
-        ratio = domination._ratio_bound(offers, demand, budget)
-        assert over(prism, budget) and over(ratio, budget)
+        assert over(prism, budget)
+        assert fresh_sweep(offers, demand) == math.inf
         if budget == UNREACHABLE:
-            assert prism == ratio == UNREACHABLE + 1
+            assert prism == UNREACHABLE + 1
 
 
 def finish_states(labels):

@@ -135,6 +135,10 @@ class TestNamedGraphs:
             cycle_graph(2)
         with pytest.raises(ValueError):
             star_graph(0)
+        with pytest.raises(ValueError, match="complete graph needs order >= 0"):
+            complete_graph(-1)
+        with pytest.raises(ValueError, match="empty graph needs order >= 0"):
+            empty_graph(-1)
 
 
 class TestEdgeList:
@@ -188,6 +192,8 @@ class TestEdgeList:
     def test_malformed_edge(self):
         with pytest.raises(EdgeListError, match="line 2: edge must be"):
             parse_edge_list("3 1\n0 1 2\n")
+        with pytest.raises(EdgeListError, match="line 2: edge must be 'u v'"):
+            parse_edge_list("3 1\n0 x\n")
 
 
 class TestOperations:
