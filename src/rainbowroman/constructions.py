@@ -53,12 +53,11 @@ def gap_instance(k: int) -> Graph:
     """
     if k < 0 or k > GAP_INSTANCE_CAP:
         raise ValueError(f"gap is capped to 0..{GAP_INSTANCE_CAP}")
-    if k == 0:
-        return complete_graph(1)
     g = complete_graph(1)
     for _ in range(k):
         g = add_c4(g)
-    g = star_link(g)
+    if k > 0:
+        g = star_link(g)
     r2 = gamma_r2(g).value
     roman = gamma_roman(g).value
     if roman - r2 != k or not connected(g) or not is_k4_free(g):

@@ -41,13 +41,13 @@ ALL_MIN_ORDER_CAP = 16
 class VerificationError(RuntimeError):
     """An identity that always holds failed on a computed instance."""
 
-_CODE_WEIGHT = (0, 1, 1, 2)
 _SWAPPED = (0, 2, 1, 3)  # each code with colors 1 and 2 exchanged
 # (code, weight, shows) in branch order; code 0, last, must be dominated
 _RAINBOW_LABELS = ((3, 2, 3), (1, 1, 1), (2, 1, 2), (0, 0, 0))
 _ROMAN_LABELS = ((2, 2, 3), (1, 1, 0), (0, 0, 0))
-_RAINBOW_TOKENS = {".": 0, "1": 1, "2": 2, "12": 3}
 _RAINBOW_NAMES = (".", "1", "2", "12")
+_ROMAN_NAMES = ("0", "1", "2")
+_ROMAN_AS_RAINBOW = (0, 1, 3)  # Roman 0, 1, 2 read as {}, {1}, {1, 2}
 
 
 class RainbowAssignment(Record):
@@ -67,7 +67,7 @@ class RainbowAssignment(Record):
         return len(self.codes)
 
     def weight(self) -> int:
-        return sum(_CODE_WEIGHT[c] for c in self.codes)
+        return sum(c.bit_count() for c in self.codes)
 
 
 class RomanAssignment(Record):
@@ -98,15 +98,20 @@ class SolveResult(NamedTuple):
     nodes: int
 
 
-def parse_rainbow(text: str) -> RainbowAssignment:
-    """Parse comma-separated rainbow tokens: '.', '1', '2', '12' (blank at order 0)."""
-    codes = []
+def _read_tokens(text: str, names: tuple[str, ...], kind: str) -> tuple[int, ...]:
+    """Index in ``names`` of each comma-separated token (none in blank text)."""
+    out = []
     for tok in text.split(",") if text.strip() else ():
         tok = tok.strip()
-        if tok not in _RAINBOW_TOKENS:
-            raise ValueError(f"bad rainbow token {tok!r}")
-        codes.append(_RAINBOW_TOKENS[tok])
-    return RainbowAssignment(tuple(codes))
+        if tok not in names:
+            raise ValueError(f"bad {kind} token {tok!r}")
+        out.append(names.index(tok))
+    return tuple(out)
+
+
+def parse_rainbow(text: str) -> RainbowAssignment:
+    """Parse comma-separated rainbow tokens: '.', '1', '2', '12' (blank at order 0)."""
+    return RainbowAssignment(_read_tokens(text, _RAINBOW_NAMES, "rainbow"))
 
 
 def format_rainbow(f: RainbowAssignment) -> str:
@@ -115,17 +120,11 @@ def format_rainbow(f: RainbowAssignment) -> str:
 
 def parse_roman(text: str) -> RomanAssignment:
     """Parse comma-separated Roman tokens: '0', '1', '2' (blank at order 0)."""
-    values = []
-    for tok in text.split(",") if text.strip() else ():
-        tok = tok.strip()
-        if tok not in ("0", "1", "2"):
-            raise ValueError(f"bad Roman token {tok!r}")
-        values.append(int(tok))
-    return RomanAssignment(tuple(values))
+    return RomanAssignment(_read_tokens(text, _ROMAN_NAMES, "Roman"))
 
 
 def format_roman(g: RomanAssignment) -> str:
-    return ",".join(str(x) for x in g.values)
+    return ",".join(_ROMAN_NAMES[x] for x in g.values)
 
 
 def _check_order(g: Graph, f: RainbowAssignment | RomanAssignment) -> None:
@@ -148,14 +147,13 @@ def is_2rainbow_dominating(g: Graph, f: RainbowAssignment) -> bool:
 
 
 def is_roman_dominating(g: Graph, f: RomanAssignment) -> bool:
-    """True iff every 0-vertex has a neighbour with value 2."""
-    _check_order(g, f)
-    values = f.values
-    for v in range(g.order):
-        if values[v] == 0:
-            if not any(values[u] == 2 for u in bits(g.adjacency[v])):
-                return False
-    return True
+    """True iff every 0-vertex has a neighbour with value 2.
+
+    That is, iff the image under {}/{1}/{1, 2} is 2-rainbow dominating:
+    only a 2 becomes a set holding color 2.
+    """
+    return is_2rainbow_dominating(
+        g, RainbowAssignment(tuple(_ROMAN_AS_RAINBOW[x] for x in f.values)))
 
 
 def _prism_bound(n: int, scan: list[tuple[int, int, int, int]], demand: int,

@@ -80,10 +80,12 @@ def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF: 'c' comments, 'p cnf n m' header, 0-terminated clauses.
 
     A header with n < 1, m < 0 or a gadget above :data:`graph.MAX_ORDER`
-    is rejected at that line, before any clause is read.
+    is rejected at that line, before any clause is read, and a clause
+    past the header's m at the line where it starts.
     """
     header: tuple[int, int] | None = None
-    tokens: list[int] = []
+    clauses: list[tuple[int, ...]] = []
+    current: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -108,22 +110,20 @@ def parse_dimacs(text: str) -> CnfFormula:
         if header is None:
             raise DimacsError(f"line {lineno}: clause before 'p cnf' header")
         for field in line.split():
+            if not current and len(clauses) == header[1]:
+                raise DimacsError(f"line {lineno}: header announces "
+                                  f"{header[1]} clauses but more were given")
             try:
-                tokens.append(int(field))
+                current.append(int(field))
             except ValueError:
                 raise DimacsError(f"line {lineno}: bad literal {field!r}") from None
+            if current[-1] == 0:
+                if len(current) == 1:
+                    raise DimacsError("empty clause")
+                clauses.append(tuple(current[:-1]))
+                current = []
     if header is None:
         raise DimacsError("missing 'p cnf' header")
-    clauses: list[tuple[int, ...]] = []
-    current: list[int] = []
-    for tok in tokens:
-        if tok == 0:
-            if not current:
-                raise DimacsError("empty clause")
-            clauses.append(tuple(current))
-            current = []
-        else:
-            current.append(tok)
     if current:
         raise DimacsError("last clause is not 0-terminated")
     if len(clauses) != header[1]:
@@ -271,8 +271,10 @@ def verify_reduction(f: CnfFormula) -> ReductionReport:
 
     Consistent means: the 2-rainbow weight is exactly 2n + 2, the Roman
     weight exceeds it by 0 or 1, the Roman weight hits 2n + 2 exactly for
-    satisfiable formulas, and at that weight the extracted assignment
-    really satisfies the formula.
+    satisfiable formulas, and at that weight the solver's witness is a
+    Roman dominating function of that weight whose extracted assignment
+    really satisfies the formula.  A witness failing that check leaves
+    ``assignment`` None.
     """
     r = build_reduction(f)
     n = f.num_vars
@@ -286,8 +288,11 @@ def verify_reduction(f: CnfFormula) -> ReductionReport:
                   and (roman.value == 2 * n + 2) == satisfiable)
     if roman.value == 2 * n + 2:
         assert isinstance(roman.witness, RomanAssignment)
-        assignment = extract_assignment(r, roman.witness)
-        consistent = consistent and _satisfies(assignment, f)
+        try:
+            assignment = extract_assignment(r, roman.witness)
+            consistent = consistent and _satisfies(assignment, f)
+        except ValueError:  # the solver's own optimum fails its check
+            consistent = False
     return ReductionReport(f, r.graph.order, rainbow.value, roman.value,
                            satisfiable, assignment, consistent)
 

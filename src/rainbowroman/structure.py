@@ -38,13 +38,9 @@ def is_extremal(g: Graph) -> bool:
 
 
 class StructureAudit(NamedTuple):
-    """One minimum function's partition, property verdicts, and private counts."""
+    """One minimum function, its property verdicts, and its private counts."""
 
     assignment: RainbowAssignment
-    empty_set: int
-    ones_set: int
-    twos_set: int
-    both_set: int
     properties: dict[str, bool]
     private_counts: dict[int, dict[int, int]]  # color -> vertex -> count
 
@@ -101,7 +97,7 @@ def audit_function(g: Graph, f: RainbowAssignment) -> StructureAudit:
 
     props = {"i": prop_i, "ii": prop_ii, "iii": prop_iii,
              "iv": prop_iv, "v": prop_v}
-    return StructureAudit(f, empty, ones, twos, both, props, private)
+    return StructureAudit(f, props, private)
 
 
 def audit_extremal(g: Graph) -> list[StructureAudit]:

@@ -11,18 +11,17 @@ always about genuine functions.
 
 from __future__ import annotations
 
-from .domination import (_SWAPPED, RainbowAssignment, RomanAssignment,
-                         is_2rainbow_dominating, is_roman_dominating)
+from .domination import (_ROMAN_AS_RAINBOW, _SWAPPED, RainbowAssignment,
+                         RomanAssignment, is_2rainbow_dominating)
 from .graph import Graph
-
-_ROMAN_TO_CODE = {0: 0, 1: 1, 2: 3}
 
 
 def roman_to_rainbow(g: Graph, f: RomanAssignment) -> RainbowAssignment:
     """Convert 0/1/2 to {}/{1}/{1,2}; weight is preserved exactly."""
-    if not is_roman_dominating(g, f):
+    image = RainbowAssignment(tuple(_ROMAN_AS_RAINBOW[x] for x in f.values))
+    if not is_2rainbow_dominating(g, image):
         raise ValueError("input is not a Roman dominating function")
-    return RainbowAssignment(tuple(_ROMAN_TO_CODE[x] for x in f.values))
+    return image
 
 
 def swap_colors(f: RainbowAssignment) -> RainbowAssignment:

@@ -16,7 +16,8 @@ import pytest
 from rainbowroman import (catalog, cli, constructions, domination, hereditary,
                           reduction, structure)
 from rainbowroman.catalog import scan
-from rainbowroman.domination import is_2rainbow_dominating, parse_rainbow
+from rainbowroman.domination import (RomanAssignment, is_2rainbow_dominating,
+                                     parse_rainbow)
 from rainbowroman.graph import (cycle_graph, disjoint_union, parse_edge_list,
                                 path_graph, serialize_edge_list)
 
@@ -199,6 +200,21 @@ class TestReduce:
         code, out, _ = run(capsys, "reduce", UNSAT1, "--check")
         assert code == 2
         assert json.loads(out)["consistent"] is False
+
+    def test_non_dominating_witness_exits_2(self, capsys, monkeypatch):
+        # the solver's weight-(2n + 2) Roman witness fails the report's check
+        def ones_witness(g, real=reduction.gamma_roman):
+            result = real(g)
+            values = (1,) * result.value + (0,) * (g.order - result.value)
+            return result._replace(witness=RomanAssignment(values))
+
+        monkeypatch.setattr(reduction, "gamma_roman", ones_witness)
+        code, out, err = run(capsys, "reduce", SAT1, "--check")
+        assert (code, err) == (2, "")
+        assert json.loads(out) == {"gamma_r2": 4, "gamma_R": 4,
+                                   "satisfiable": True, "consistent": False}
+        formula = reduction.parse_dimacs(Path(SAT1).read_text())
+        assert reduction.verify_reduction(formula).assignment is None
 
     def test_bad_dimacs(self, capsys, tmp_path):
         bad = tmp_path / "bad.cnf"
@@ -429,9 +445,10 @@ class TestConstruct:
             return result._replace(value=result.value + 1)
 
         monkeypatch.setattr(constructions, "gamma_roman", one_too_many)
-        code, out, err = run(capsys, "construct", "--op", "gap-k", "--k", "2")
-        assert code == 2 and out == ""
-        assert err.startswith("inconsistency:")
+        for k in ("0", "2"):
+            code, out, err = run(capsys, "construct", "--op", "gap-k", "--k", k)
+            assert code == 2 and out == ""
+            assert err.startswith("inconsistency:")
 
 
 class TestScan:

@@ -63,6 +63,9 @@ class TestDimacs:
         ("c empty\n", "missing 'p cnf' header"),
         ("p cnf 1 1\n1\n", "not 0-terminated"),
         ("p cnf 1 2\n1 0\n", "announces 2 clauses but 1"),
+        # the surplus clause is refused where it starts, before line 5
+        ("p cnf 1 2\n1 0\n1 0\n1 0\nx 0\n",
+         "line 4: header announces 2 clauses but more"),
         ("p cnf 1 1\n0\n", "empty clause"),
         ("p cnf 1 1\n1 -1 0\n", "tautological"),
         ("p cnf 1 1\n2 0\n", "out of range"),

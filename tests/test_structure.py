@@ -7,9 +7,8 @@ import pytest
 from rainbowroman import structure
 from rainbowroman.catalog import enumerate_graphs
 from rainbowroman.domination import RainbowAssignment, all_min_2rdf
-from rainbowroman.graph import (bits, complete_graph, cycle_graph,
-                                disjoint_union, from_edge_mask, path_graph,
-                                star_graph)
+from rainbowroman.graph import (complete_graph, cycle_graph, disjoint_union,
+                                from_edge_mask, path_graph, star_graph)
 from rainbowroman.hereditary import solve_both_cached
 from rainbowroman.rng import SplitMix64
 from rainbowroman.structure import (PROPERTY_KEYS, audit_extremal,
@@ -41,7 +40,7 @@ class TestAuditC4:
             (0, 1, 0, 2), (0, 2, 0, 1), (1, 0, 2, 0), (2, 0, 1, 0)]
         for a in audits:
             assert a.all_pass()
-            assert a.both_set == 0
+            assert 3 not in a.assignment.codes
             for counts in a.private_counts.values():
                 assert all(c == 2 for c in counts.values())
 
@@ -65,12 +64,6 @@ class TestAuditFunction:
         g = path_graph(5)
         for f in all_min_2rdf(g):
             a = audit_function(g, f)
-            full = (1 << g.order) - 1
-            assert a.empty_set | a.ones_set | a.twos_set | a.both_set == full
-            assert a.empty_set & a.ones_set == 0
-            assert a.empty_set & a.twos_set == 0
-            assert a.ones_set & a.twos_set == 0
-            assert a.both_set & (a.ones_set | a.twos_set | a.empty_set) == 0
             assert set(a.properties) == set(PROPERTY_KEYS)
 
     def test_private_counts_cover_colored_vertices(self):
@@ -78,8 +71,9 @@ class TestAuditFunction:
         for f in all_min_2rdf(g):
             a = audit_function(g, f)
             assert set(a.private_counts) == {1, 2}
-            assert set(a.private_counts[1]) == set(bits(a.ones_set))
-            assert set(a.private_counts[2]) == set(bits(a.twos_set))
+            for color in (1, 2):
+                assert set(a.private_counts[color]) == \
+                    {v for v, c in enumerate(a.assignment.codes) if c == color}
 
     def test_property_i_fails_without_balance(self):
         g = complete_graph(1)
