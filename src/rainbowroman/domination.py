@@ -260,28 +260,30 @@ def _sweep(ranked: _Ranking, demand: int, start: int = 0) -> float:
 
 def _finisher(n: int, offers: _Offers, pivots: list[int]
               ) -> Callable[[int, int, int], bool]:
-    """The exact test that ends a branch with at most 2 units of weight left.
+    """The exact test that ends a branch with at most 3 units of weight left.
 
     Returns ``completes(demand, start, budget)``: whether labels of total
-    weight at most ``budget`` <= 2, placed on distinct vertices whose
+    weight at most ``budget`` <= 3, placed on distinct vertices whose
     offers lie in ``offers[start:]``, meet all of ``demand``, which is
     not 0.  ``offers`` is the search's flat offer table, k ``(weight,
     reach, j)`` triples per vertex in branch order (see :func:`_search`
     and :func:`_sweep`), and ``pivots`` holds each vertex's two demand
-    bits, least degree first.  Every child with at most 2 units left
+    bits, least degree first.  Every child with at most 3 units left
     takes this test in place of both bounds.
 
     Some placed label meets the unmet demand of least degree, so the
     test walks that demand's suppliers: an offer that meets all of the
-    demand, or a weight-1 offer whose rest one more weight-1 offer meets.
-    Two weight-1 labels on one vertex meet no more than the weight-2
-    label there, so the second offer may share the first's vertex.  A
-    label never shows more colors than its weight, so a weight-1 offer
-    meets at most one demand of a color it does not show, its own
-    vertex's; a rest with two demands of each color is skipped.  Each
-    demand's suppliers, the table's own entries that meet it in ascending
-    index ``j``, are listed on first use and walked from the end down to
-    ``start``.
+    demand, or a lighter offer followed by the same test on its rest with
+    the units it leaves, so the search is at most 3 offers deep.  Two or
+    three labels on one vertex weigh at least 2 and meet no more than the
+    weight-2 label there, so a later offer may share an earlier one's
+    vertex.  A label never shows more colors than its weight, so a lone
+    weight-1 label meets at most one demand of a color it does not show,
+    its own vertex's; where exactly 1 unit is left after an offer, a rest
+    with two demands of each color is skipped.  With 2 units left a
+    weight-2 label can still meet such a rest.  Each demand's suppliers,
+    the table's own entries that meet it in ascending index ``j``, are
+    listed on first use and walked from the end down to ``start``.
     """
     everyone = (1 << n) - 1
     suppliers: dict[int, _Offers] = {}
@@ -305,11 +307,13 @@ def _finisher(n: int, offers: _Offers, pivots: list[int]
             rest = demand & ~reach
             if not rest:
                 return True
-            if weight < budget:
+            left = budget - weight
+            if left == 1:
                 ones, twos = rest & everyone, rest >> n
-                if (ones & (ones - 1) == 0 or twos & (twos - 1) == 0) \
-                        and completes(rest, start, budget - weight):
-                    return True
+                if ones & (ones - 1) and twos & (twos - 1):
+                    continue
+            if left and completes(rest, start, left):
+                return True
         return False
 
     return completes
@@ -334,7 +338,7 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
     are decided in descending-degree order (ties by index).  A branch is
     cut when its weight exceeds ``limit``, or when a bound exceeds its
     budget, ``limit`` less the branch's weight, as each does where an
-    empty vertex can no longer be dominated; with at most 2 units of
+    empty vertex can no longer be dominated; with at most 3 units of
     weight left, exactly when no completion exists.  Every complete
     assignment reached is a dominating function of weight at most
     ``limit``; it goes to ``leaf(codes, weight)``, which returns the
@@ -349,7 +353,7 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
     ``branch[d]`` is offer ``d * k + i``.  The vertices still undecided
     below depth d are exactly ``branch[d + 1:]``.
 
-    Every child with budget at least 3 takes one cut sequence: first
+    Every child with budget at least 4 takes one cut sequence: first
     :func:`_prism_bound`, then, for a child that places a label, a
     ranking of the suffix ``offers[(d + 1) * k:]`` by :func:`_rank`,
     then the ratio bound :func:`_sweep`; the root ranks the whole table.
@@ -379,7 +383,7 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
     left out is still sorted, so the sweep reads the fresh ranking entry
     for entry.
 
-    A child whose budget ``limit - w`` is at most 2 takes neither bound.
+    A child whose budget ``limit - w`` is at most 3 takes neither bound.
     It asks the exact test of :func:`_finisher` whether labels of total
     weight at most the budget, on distinct undecided vertices, meet its
     unmet demand, and is cut exactly when they cannot.  The test rests on
@@ -391,7 +395,7 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
     completion within its budget, so the admissible bounds would keep it
     too: the finish never adds a node.  The limit never rises within a
     run, so no descendant of such a child has more budget: once the
-    budget is below 3 no ranking is made or swept, and the parent's is
+    budget is below 4 no ranking is made or swept, and the parent's is
     handed down unread.
 
     Swapping colors 1 and 2 maps a 2-rainbow dominating function to one
@@ -451,7 +455,7 @@ def _search(g: Graph, labels: tuple[tuple[int, int, int], ...]
                 unmet = demand & ~offers[j][1] if code else demand
                 ranking = ranked
                 budget = limit - w
-                if unmet and budget < 3:
+                if unmet and budget < 4:
                     if not completes(unmet, start, budget):
                         continue
                 elif unmet:

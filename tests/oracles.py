@@ -270,12 +270,14 @@ def ratio_bound_exact(offers, demand) -> int | None:
 
 
 def completes_brute(g, labels, undecided, demand, budget) -> bool:
-    """Whether labels of total weight at most ``budget`` <= 2, placed on
+    """Whether labels of total weight at most ``budget``, placed on
     distinct vertices of ``undecided``, meet every bit of ``demand`` (bit v
-    for (v, 1), bit n + v for (v, 2)): every set of at most two placements
-    is tried.  A placement meets its vertex's two demands and the colors
-    its label shows at the vertex's neighbours; every nonempty label
-    weighs at least 1, so no completion within the budget places more."""
+    for (v, 1), bit n + v for (v, 2)): every set of placements on distinct
+    vertices whose weights add up to at most ``budget`` is tried.  A
+    placement meets its vertex's two demands and the colors its label
+    shows at the vertex's neighbours.  Placements that meet none of
+    ``demand`` are left out: dropping one from a completion leaves a
+    lighter completion."""
     n = g.order
     placements = []
     for x in bits(undecided):
@@ -284,23 +286,30 @@ def completes_brute(g, labels, undecided, demand, budget) -> bool:
             if code:
                 met = 1 << x | 1 << (n + x)
                 met |= (row if shows & 1 else 0) | (row << n if shows & 2 else 0)
-                placements.append((x, weight, met))
-    for size in range(3):
-        for chosen in itertools.combinations(placements, size):
-            met = 0
-            for _, _, reach in chosen:
-                met |= reach
-            if (len({x for x, _, _ in chosen}) == size
-                    and sum(weight for _, weight, _ in chosen) <= budget
-                    and demand & ~met == 0):
+                if met & demand:
+                    placements.append((x, weight, met))
+
+    def extend(first, left, used, met):
+        # whether placements of index ``first`` on, on vertices outside
+        # ``used`` and of weight at most ``left``, meet what ``met`` misses
+        if demand & ~met == 0:
+            return True
+        if left == 0:
+            return False
+        for i in range(first, len(placements)):
+            x, weight, reach = placements[i]
+            if (weight <= left and not used >> x & 1
+                    and extend(i + 1, left - weight, used | 1 << x, met | reach)):
                 return True
-    return False
+        return False
+
+    return extend(0, budget, 0, 0)
 
 
 def search_by_mask(g, labels):
     """``domination._search`` as it was before the flat offer table and the
     budgets: the ratio bound walks the undecided mask to collect per-vertex
-    offers, and both bounds run to the end.  A branch with at most 2 units
+    offers, and both bounds run to the end.  A branch with at most 3 units
     of weight left takes :func:`completes_brute` instead of the bounds.
     Same ``(root, run)`` contract.  The differential oracle for the
     search's root bound, node counts, values and witnesses.
@@ -342,7 +351,7 @@ def search_by_mask(g, labels):
                 now_shown = shown | shown_to[v][shows]
                 pending = remaining | now_empty
                 demand = (pending | pending << n) & ~now_shown
-                if demand and limit - w < 3:
+                if demand and limit - w < 4:
                     if not completes_brute(g, labels, remaining, demand, limit - w):
                         continue
                 elif demand:

@@ -421,10 +421,14 @@ UNREACHABLE = 1 << 20
 
 
 def bound_corpus():
+    # a child with 3 or fewer units left is finished without a ranking; the
+    # last two graphs, G(24, 0.15), have many children with 4 or more, which
+    # reuse theirs
     return (classes_to_order_7()
             + list(density_graphs(SplitMix64(1987), 4, range(8, 16)))
             + list(density_graphs(SplitMix64(1988), 2, range(16, 21)))
-            + [gap_graph(k) for k in range(4)] + [path_graph(12), cycle_graph(13)])
+            + [gap_graph(k) for k in range(4)] + [path_graph(12), cycle_graph(13)]
+            + [next(density_graphs(SplitMix64(seed), 1, [24])) for seed in (1, 3)])
 
 
 @pytest.fixture(scope="module")
@@ -556,30 +560,47 @@ class TestOfferTable:
             assert prism == UNREACHABLE + 1
 
 
-def finish_states(labels):
-    """Seeded random inputs of ``domination._finisher`` on graphs of order
-    4-10, as ``(g, completes, start, undecided, demand)``.
-
-    The vertices take a random order, the offer table follows it, k
-    ``(weight, reach, j)`` triples per vertex, and the pivots are each
-    vertex's two demand bits, least degree first.  At each depth d the
-    first d + 1 vertices take random labels, and the demand is what they
-    leave unmet, or, every other time, a random part of it; ``start`` is
-    (d + 1) * k."""
-    rng = SplitMix64(2020)
+def finisher_for(g, labels, order):
+    """``domination._finisher`` for ``g`` with the offer table in vertex
+    order ``order``, and the demand bits ``reach[v, shows]`` that a label
+    showing colors ``shows`` meets when placed on v."""
+    n = g.order
     placed = [(weight, shows) for code, weight, shows in labels if code]
-    k = len(placed)
+    reach = {(v, shows): 1 << v | 1 << (n + v) | (g.adjacency[v] if shows & 1 else 0)
+             | (g.adjacency[v] << n if shows & 2 else 0)
+             for v in range(n) for _, shows in placed}
+    offers = [(weight, reach[v, shows], d * len(placed) + i) for d, v in enumerate(order)
+              for i, (weight, shows) in enumerate(placed)]
+    pivots = [1 << v | 1 << (n + v)
+              for v in sorted(range(n), key=lambda v: g.adjacency[v].bit_count())]
+    return domination._finisher(n, offers, pivots), reach
+
+
+def finish_states(labels):
+    """Inputs of ``domination._finisher``, as ``(g, completes, start,
+    undecided, demand)``: one made by hand, then seeded random ones on
+    graphs of order 4-10.
+
+    The hand-made one, on 0 - 1 and 3 - 2 - 4, is completed within 3
+    units only by a weight-1 label on 0 or 1, which meets the pivot (0, 1)
+    and leaves 2 units, and the weight-2 label on 2, which meets the
+    demands of 3 and 4, both colors; so skipping a rest with two demands
+    of each color at 2 units left gets it wrong.
+
+    For the random ones the vertices take a random order, which the offer
+    table follows, k triples per vertex (see :func:`finisher_for`).  At
+    each depth d the first d + 1 vertices take random labels, and the
+    demand is what they leave unmet, or, every other time, a random part
+    of it; ``start`` is (d + 1) * k."""
+    g = graph_from_edges(5, [(0, 1), (2, 3), (2, 4)])
+    completes, _ = finisher_for(g, labels, range(5))
+    yield g, completes, 0, (1 << 5) - 1, 1 << 0 | (1 << 3 | 1 << 4) * (1 | 1 << 5)
+    rng = SplitMix64(2020)
+    k = len(labels) - 1
     for g in density_graphs(SplitMix64(2021), 150, range(4, 11)):
         n = g.order
         order = random_permutation(rng, n)
-        reach = {(v, shows): 1 << v | 1 << (n + v) | (g.adjacency[v] if shows & 1 else 0)
-                 | (g.adjacency[v] << n if shows & 2 else 0)
-                 for v in range(n) for _, shows in placed}
-        offers = [(weight, reach[v, shows], d * k + i) for d, v in enumerate(order)
-                  for i, (weight, shows) in enumerate(placed)]
-        pivots = [1 << v | 1 << (n + v)
-                  for v in sorted(range(n), key=lambda v: g.adjacency[v].bit_count())]
-        completes = domination._finisher(n, offers, pivots)
+        completes, reach = finisher_for(g, labels, order)
         for depth in range(n):
             met = 0
             for v in order[:depth + 1]:
@@ -599,24 +620,32 @@ def two_of_each_color(demand, n):
 
 
 class TestFinish:
-    """A branch with at most 2 units of weight left is ended by an exact
-    test; trying every set of at most two placements is the oracle."""
+    """A branch with at most 3 units of weight left is ended by an exact
+    test; trying every set of placements within the budget is the oracle."""
 
     @pytest.mark.parametrize("table", TABLES)
     def test_matches_brute_force(self, table):
         labels, _ = TABLES[table]
         seen = {}
         for g, completes, start, undecided, demand in finish_states(labels):
-            for budget in range(3):
+            for budget in range(4):
                 got = completes(demand, start, budget)
                 assert got == completes_brute(g, labels, undecided, demand, budget)
                 key = (budget, got, two_of_each_color(demand, g.order))
                 seen[key] = seen.get(key, 0) + 1
-        assert sum(seen.values()) > 3000
-        # both answers at budgets 1 and 2, and the color rule's states at 2
-        for budget in (1, 2):
+        assert sum(seen.values()) > 4000
+        # both answers at budgets 1 to 3, and the color rule's states at 2 and 3
+        for budget in (1, 2, 3):
             assert seen.get((budget, True, False)) and seen.get((budget, False, False))
-        assert seen.get((2, True, True)) and seen.get((2, False, True))
+        for budget in (2, 3):
+            assert seen.get((budget, True, True)) and seen.get((budget, False, True))
+
+    @pytest.mark.parametrize("table,total", [("rainbow", 354), ("roman", 1310)])
+    def test_dense_node_totals(self, table, total):
+        # every child with at most 3 units left is finished; finishing only
+        # those with at most 2 took 2,193 and 1,754 nodes
+        solve = TABLES[table][1]
+        assert sum(solve(g).nodes for g in MASK_CORPORA["dense-28-to-30"]()) == total
 
     def test_labels_show_no_more_colors_than_they_weigh(self):
         # the finish skips a weight-1 offer that leaves two demands of each color
