@@ -26,9 +26,9 @@ _EXPORTS = {
     "constructions": ("add_c4", "gap_instance", "star_link"),
     "domination": ("RainbowAssignment", "RomanAssignment", "SolveResult",
                    "VerificationError", "all_min_2rdf", "format_rainbow",
-                   "format_roman", "gamma_r2", "gamma_roman",
-                   "is_2rainbow_dominating", "is_roman_dominating",
-                   "parse_rainbow", "parse_roman"),
+                   "format_roman", "gamma_r2", "gamma_roman", "is_2rainbow_dominating",
+                   "is_roman_dominating", "parse_rainbow", "parse_roman",
+                   "rainbow_to_roman", "roman_to_rainbow", "swap_colors"),
     "graph": ("EdgeListError", "Graph", "canonical_form", "complete_graph",
               "components", "connected", "cycle_graph", "diamond_graph",
               "disjoint_union", "empty_graph", "graph_from_edges",
@@ -46,7 +46,6 @@ _EXPORTS = {
     "rng": ("SplitMix64",),
     "structure": ("StructureAudit", "audit_extremal", "audit_function",
                   "audit_summary", "is_extremal"),
-    "transfer": ("rainbow_to_roman", "roman_to_rainbow", "swap_colors"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -33,10 +33,10 @@ from types import SimpleNamespace
 
 # the package registers its submodules lazily: bound as modules, these
 # run only when a command calls into them, so `solve` never executes them
-from . import catalog, constructions, hereditary, reduction, structure, transfer
-from .domination import (VerificationError, _all_min_at, _check_all_min_order,
-                         format_rainbow, format_roman, gamma_r2, gamma_roman,
-                         parse_rainbow, parse_roman)
+from . import catalog, constructions, hereditary, reduction, structure
+from .domination import (VerificationError, _all_min_at, _check_all_min_order, format_rainbow,
+                         format_roman, gamma_r2, gamma_roman, parse_rainbow, parse_roman,
+                         rainbow_to_roman, roman_to_rainbow)
 from .graph import Graph, connected, is_k4_free, parse_edge_list, serialize_edge_list
 
 
@@ -79,12 +79,12 @@ def _cmd_solve(args: SimpleNamespace) -> int:
 def _cmd_convert(args: SimpleNamespace) -> int:
     g = _load_graph(args.graph)
     if args.direction == "roman-to-r2":
-        conv = transfer.roman_to_rainbow(g, parse_roman(args.assignment))
-        out = {"assignment": format_rainbow(conv), "weight": conv.weight()}
+        conv = roman_to_rainbow(g, parse_roman(args.assignment))
+        text = format_rainbow(conv)
     else:
-        conv = transfer.rainbow_to_roman(g, parse_rainbow(args.assignment))
-        out = {"assignment": format_roman(conv), "weight": conv.weight()}
-    _emit(out)
+        conv = rainbow_to_roman(g, parse_rainbow(args.assignment))
+        text = format_roman(conv)
+    _emit({"assignment": text, "weight": conv.weight()})
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Exact solvers for 2-rainbow and Roman domination.
+"""Exact solvers for 2-rainbow and Roman domination, and maps between them.
 
 A 2-rainbow dominating function assigns each vertex a subset of {1, 2}
 such that every vertex with the empty set sees both colors across its
@@ -23,6 +23,11 @@ without a search.  The enumeration of every minimum 2-rainbow
 function runs the same search at the optimum and differs only in what
 it does with each complete assignment.
 
+Two maps carry dominating functions between the kinds, and refuse any
+input that does not dominate: a Roman one becomes a 2-rainbow one of
+equal weight, and a 2-rainbow one of weight w, after a color swap, a
+Roman one of weight at most floor(3w/2).
+
 Rainbow codes are packed as ints: 0 = {}, 1 = {1}, 2 = {2}, 3 = {1, 2}.
 """
 
@@ -34,7 +39,6 @@ from typing import Callable, NamedTuple
 from .graph import MAX_ORDER, Graph, bits, components, induced_subgraph
 from .record import Record
 
-SOLVER_ORDER_CAP = MAX_ORDER
 ALL_MIN_ORDER_CAP = 16
 
 
@@ -48,6 +52,7 @@ _ROMAN_LABELS = ((2, 2, 3), (1, 1, 0), (0, 0, 0))
 _RAINBOW_NAMES = (".", "1", "2", "12")
 _ROMAN_NAMES = ("0", "1", "2")
 _ROMAN_AS_RAINBOW = (0, 1, 3)  # Roman 0, 1, 2 read as {}, {1}, {1, 2}
+_RAINBOW_AS_ROMAN = (0, 1, 2, 2)  # {}, {1}, {2}, {1, 2} read as 0, 1, 2, 2
 
 
 class RainbowAssignment(Record):
@@ -146,14 +151,41 @@ def is_2rainbow_dominating(g: Graph, f: RainbowAssignment) -> bool:
     return True
 
 
-def is_roman_dominating(g: Graph, f: RomanAssignment) -> bool:
-    """True iff every 0-vertex has a neighbour with value 2.
+def _as_rainbow(f: RomanAssignment) -> RainbowAssignment:
+    return RainbowAssignment(tuple(_ROMAN_AS_RAINBOW[x] for x in f.values))
 
-    That is, iff the image under {}/{1}/{1, 2} is 2-rainbow dominating:
-    only a 2 becomes a set holding color 2.
+
+def is_roman_dominating(g: Graph, f: RomanAssignment) -> bool:
+    """True iff every 0-vertex has a neighbour with value 2, that is, iff
+    its image under {}/{1}/{1, 2} is 2-rainbow dominating."""
+    return is_2rainbow_dominating(g, _as_rainbow(f))
+
+
+def roman_to_rainbow(g: Graph, f: RomanAssignment) -> RainbowAssignment:
+    """Convert 0/1/2 to {}/{1}/{1,2}; weight is preserved exactly."""
+    image = _as_rainbow(f)
+    if not is_2rainbow_dominating(g, image):
+        raise ValueError("input is not a Roman dominating function")
+    return image
+
+
+def swap_colors(f: RainbowAssignment) -> RainbowAssignment:
+    """Exchange colors 1 and 2 everywhere; an involution on assignments."""
+    return RainbowAssignment(tuple(_SWAPPED[c] for c in f.codes))
+
+
+def rainbow_to_roman(g: Graph, f: RainbowAssignment) -> RomanAssignment:
+    """Convert a 2-rainbow function to a Roman one of weight <= floor(3w/2).
+
+    The color swap is applied only when {2} is strictly more frequent
+    than {1}; a tie is left alone.  Every empty vertex keeps a neighbour
+    carrying color 2, which becomes its 2-neighbour.
     """
-    return is_2rainbow_dominating(
-        g, RainbowAssignment(tuple(_ROMAN_AS_RAINBOW[x] for x in f.values)))
+    if not is_2rainbow_dominating(g, f):
+        raise ValueError("input is not 2-rainbow dominating")
+    if f.codes.count(1) < f.codes.count(2):
+        f = swap_colors(f)
+    return RomanAssignment(tuple(_RAINBOW_AS_ROMAN[c] for c in f.codes))
 
 
 def _prism_bound(n: int, scan: list[tuple[int, int, int, int]], demand: int,
@@ -507,8 +539,8 @@ def _minimise(g: Graph, labels: tuple[tuple[int, int, int], ...],
     :func:`_search` changes no first optimum, in the graph or in a
     component.
     """
-    if g.order > SOLVER_ORDER_CAP:
-        raise ValueError(f"solver is capped at order {SOLVER_ORDER_CAP}")
+    if g.order > MAX_ORDER:
+        raise ValueError(f"solver is capped at order {MAX_ORDER}")
     everyone = (1 << g.order) - 1
     codes = [1] * g.order
     nodes = 0
@@ -564,21 +596,21 @@ def _check_all_min_order(g: Graph) -> None:
         raise ValueError(f"minimum-function enumeration is capped at order {ALL_MIN_ORDER_CAP}")
 
 
-def _each_min_2rdf(g: Graph, value: int, visit: Callable[[list[int]], object]) -> None:
+def _each_min_2rdf(g: Graph, value: int, visit: Callable[[list[int], int], object]) -> None:
     """Pass each minimum 2-rainbow function the search reaches to ``visit``.
 
     ``value`` must be gamma_r2(g): :func:`_search` runs with it as a
-    fixed weight limit, so every assignment it reaches is optimal.  It
-    reaches one function of each color-swapped pair, the one whose first
-    singleton in branch order is {1}; so a reached function stands for
-    itself and its swap exactly when it holds a {1}.  ``visit`` gets the
-    live code list, in vertex order, and must copy it to keep it.
-    Raises ValueError above order ``ALL_MIN_ORDER_CAP``.
+    fixed weight limit, so every assignment it reaches is optimal.  Its
+    color rule reaches one function of each swapped pair, so a reached
+    function stands for two, itself and its swap, when it holds a {1},
+    else for one.  ``visit`` gets the live code list, in vertex order,
+    to copy if kept, and that number.  Raises ValueError above
+    ``ALL_MIN_ORDER_CAP``.
     """
     _check_all_min_order(g)
 
     def leaf(codes: list[int], weight: int) -> int:
-        visit(codes)
+        visit(codes, 2 if 1 in codes else 1)
         return value
 
     _, run = _search(g, _RAINBOW_LABELS)
@@ -586,13 +618,18 @@ def _each_min_2rdf(g: Graph, value: int, visit: Callable[[list[int]], object]) -
 
 
 def _all_min_at(g: Graph, value: int) -> list[RainbowAssignment]:
-    """Every minimum 2-rainbow function, given ``value`` = gamma_r2(g), in
-    lexicographic order of the code vector under 0 < 1 < 2 < 3: the
-    reached functions plus the swap of each one that holds a {1}."""
-    found: list[tuple[int, ...]] = []
-    _each_min_2rdf(g, value, lambda codes: found.append(tuple(codes)))
-    found += [tuple(_SWAPPED[c] for c in codes) for codes in found if 1 in codes]
-    return [RainbowAssignment(codes) for codes in sorted(found)]
+    """Every minimum 2-rainbow function in the order of :func:`all_min_2rdf`,
+    given ``value`` = gamma_r2(g): each one reached, and its swap where it
+    stands for two."""
+    found: list[RainbowAssignment] = []
+
+    def visit(codes: list[int], copies: int) -> None:
+        found.append(RainbowAssignment(tuple(codes)))
+        if copies == 2:
+            found.append(swap_colors(found[-1]))
+
+    _each_min_2rdf(g, value, visit)
+    return sorted(found, key=lambda f: f.codes)
 
 
 def all_min_2rdf(g: Graph) -> list[RainbowAssignment]:

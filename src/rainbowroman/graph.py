@@ -99,6 +99,15 @@ def graph_from_edges(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(order, tuple(rows))
 
 
+def iter_lines(text: str) -> Iterator[str]:
+    """The lines of ``text.splitlines()``, split a piece at a time; a piece
+    ends at the first "\\n" 4096 characters on, and every "\\n" ends a line."""
+    end = 0
+    while end < len(text):
+        start, end = end, text.find("\n", end + 4096) + 1 or len(text)
+        yield from text[start:end].splitlines()
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain-text edge-list format.
 
@@ -111,7 +120,7 @@ def parse_edge_list(text: str) -> Graph:
     header: tuple[int, int] | None = None
     seen: set[tuple[int, int]] = set()
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(iter_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

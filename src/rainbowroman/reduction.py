@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .domination import (RomanAssignment, gamma_r2, gamma_roman,
                          is_roman_dominating)
-from .graph import MAX_ORDER, Graph, graph_from_edges
+from .graph import MAX_ORDER, Graph, graph_from_edges, iter_lines
 from .record import Record
 from .rng import SplitMix64
 
@@ -86,7 +86,7 @@ def parse_dimacs(text: str) -> CnfFormula:
     header: tuple[int, int] | None = None
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(iter_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue

@@ -118,10 +118,10 @@ def audit_extremal(g: Graph) -> list[StructureAudit]:
 def audit_summary(g: Graph) -> tuple[int, bool]:
     """(number of minimum functions, all of them pass) for any graph.
 
-    One search at the memoized gamma_r2 walks the minimum functions,
-    one of each color-swapped pair; a function holding a {1} counts
-    for itself and its swap, which passes exactly when it does.
-    Auditing stops at the first function that fails; counting does not.
+    One search at the memoized gamma_r2 walks the minimum functions, one
+    of each color-swapped pair, each counted with the functions it stands
+    for; a swap passes exactly when its function does.  Auditing stops at
+    the first function that fails; counting does not.
 
     gamma_r2 is read from :func:`solve_both_cached`: on a graph not yet
     in its memo, that solves both gamma_r2 and gamma_R and keeps them.
@@ -131,9 +131,9 @@ def audit_summary(g: Graph) -> tuple[int, bool]:
     count = 0
     all_pass = True
 
-    def visit(codes: list[int]) -> None:
+    def visit(codes: list[int], copies: int) -> None:
         nonlocal count, all_pass
-        count += 2 if 1 in codes else 1
+        count += copies
         if all_pass:
             all_pass = audit_function(g, RainbowAssignment(tuple(codes))).all_pass()
 

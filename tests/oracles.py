@@ -21,9 +21,9 @@ from functools import lru_cache
 from rainbowroman import domination
 from rainbowroman.cli import (_cmd_construct, _cmd_convert, _cmd_recognize,
                              _cmd_reduce, _cmd_scan, _cmd_solve, _cmd_structure)
-from rainbowroman.domination import (SOLVER_ORDER_CAP, RainbowAssignment,
-                                     RomanAssignment, SolveResult, all_min_2rdf)
-from rainbowroman.graph import (CANONICAL_ORDER_CAP, Graph, bits,
+from rainbowroman.domination import (RainbowAssignment, RomanAssignment,
+                                     SolveResult, all_min_2rdf)
+from rainbowroman.graph import (CANONICAL_ORDER_CAP, MAX_ORDER, Graph, bits,
                                 canonical_form, edge_mask, from_edge_mask,
                                 induced_subgraph)
 from rainbowroman.structure import audit_function
@@ -404,8 +404,8 @@ def gamma_roman_subsets(g) -> SolveResult:
     The differential oracle for ``domination.gamma_roman``.
     """
     n = g.order
-    if n > SOLVER_ORDER_CAP:
-        raise ValueError(f"solver is capped at order {SOLVER_ORDER_CAP}")
+    if n > MAX_ORDER:
+        raise ValueError(f"solver is capped at order {MAX_ORDER}")
     if n == 0:
         return SolveResult(0, RomanAssignment(()), 0)
     closed = [g.adjacency[v] | (1 << v) for v in range(n)]

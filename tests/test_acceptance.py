@@ -13,7 +13,8 @@ from rainbowroman.catalog import enumerate_graphs, random_graphs, scan
 from rainbowroman.constructions import add_c4, gap_instance, star_link
 from rainbowroman.domination import (gamma_r2, gamma_roman,
                                      is_2rainbow_dominating,
-                                     is_roman_dominating)
+                                     is_roman_dominating, rainbow_to_roman,
+                                     roman_to_rainbow)
 from rainbowroman.graph import (complete_graph, connected, cycle_graph,
                                 empty_graph, from_edge_mask, is_k4_free,
                                 path_graph)
@@ -25,7 +26,6 @@ from rainbowroman.reduction import (CnfFormula, build_reduction,
                                     random_formula, verify_reduction)
 from rainbowroman.rng import SplitMix64
 from rainbowroman.structure import audit_summary
-from rainbowroman.transfer import rainbow_to_roman, roman_to_rainbow
 
 from oracles import (naive_gamma_r2, naive_gamma_roman, naive_sat,
                      rainbow_valid, roman_valid)

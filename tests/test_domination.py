@@ -12,16 +12,15 @@ import pytest
 from rainbowroman import domination
 from rainbowroman.catalog import enumerate_graphs
 from rainbowroman.constructions import add_c4, star_link
-from rainbowroman.domination import (ALL_MIN_ORDER_CAP, SOLVER_ORDER_CAP,
-                                     RainbowAssignment, RomanAssignment,
-                                     all_min_2rdf, format_rainbow,
-                                     format_roman, gamma_r2, gamma_roman,
-                                     is_2rainbow_dominating,
+from rainbowroman.domination import (ALL_MIN_ORDER_CAP, RainbowAssignment,
+                                     RomanAssignment, all_min_2rdf,
+                                     format_rainbow, format_roman, gamma_r2,
+                                     gamma_roman, is_2rainbow_dominating,
                                      is_roman_dominating, parse_rainbow,
                                      parse_roman)
-from rainbowroman.graph import (complete_graph, components, connected,
-                                cycle_graph, disjoint_union, empty_graph,
-                                from_edge_mask, graph_from_edges,
+from rainbowroman.graph import (MAX_ORDER, complete_graph, components,
+                                connected, cycle_graph, disjoint_union,
+                                empty_graph, from_edge_mask, graph_from_edges,
                                 induced_subgraph, path_graph, relabel,
                                 star_graph)
 from rainbowroman.reduction import build_reduction, random_formula
@@ -681,9 +680,9 @@ class TestAllMin:
 class TestCaps:
     def test_solver_cap(self):
         with pytest.raises(ValueError, match="capped"):
-            gamma_r2(empty_graph(SOLVER_ORDER_CAP + 1))
+            gamma_r2(empty_graph(MAX_ORDER + 1))
         with pytest.raises(ValueError, match="capped"):
-            gamma_roman(empty_graph(SOLVER_ORDER_CAP + 1))
+            gamma_roman(empty_graph(MAX_ORDER + 1))
 
     def test_all_min_cap(self, monkeypatch):
         with pytest.raises(ValueError, match="capped"):
@@ -691,7 +690,7 @@ class TestCaps:
         # the walk checks the cap itself, so a raised cap reaches it
         star = star_graph(ALL_MIN_ORDER_CAP)
         with pytest.raises(ValueError, match="capped at order 16"):
-            domination._each_min_2rdf(star, 2, lambda codes: None)
+            domination._each_min_2rdf(star, 2, lambda codes, copies: None)
         monkeypatch.setattr(domination, "ALL_MIN_ORDER_CAP", ALL_MIN_ORDER_CAP + 1)
         only = (3,) + (0,) * ALL_MIN_ORDER_CAP
         assert [f.codes for f in all_min_2rdf(star)] == [only]

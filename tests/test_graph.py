@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import time
+import tracemalloc
 
 import pytest
 
@@ -13,8 +14,8 @@ from rainbowroman.graph import (EdgeListError, Graph, bits, canonical_form,
                                 cycle_graph, diamond_graph, disjoint_union,
                                 edge_mask, empty_graph, from_edge_mask,
                                 graph_from_edges, induced_subgraph, is_k4_free,
-                                parse_edge_list, path_graph, relabel,
-                                serialize_edge_list, star_graph)
+                                iter_lines, parse_edge_list, path_graph,
+                                relabel, serialize_edge_list, star_graph)
 from rainbowroman.rng import SplitMix64
 
 from oracles import (canonical_form_unpruned, connected_brute,
@@ -141,6 +142,35 @@ class TestNamedGraphs:
             empty_graph(-1)
 
 
+# every separator str.splitlines() cuts at
+LINE_BREAKS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029")
+
+
+class TestIterLines:
+    @pytest.mark.parametrize("sep", LINE_BREAKS)
+    def test_every_separator(self, sep):
+        texts = ["", sep, sep * 3, f"a{sep}", f"{sep}a", f"a{sep}b",
+                 f"a{sep}\nb", f"a\n{sep}b", f"a\r{sep}", f"{sep}\n\n{sep}"]
+        # the text is cut after the first "\n" 4096 characters on
+        for k in range(4092, 4100):
+            texts += ["a" * k + sep + "\nb", "\n" * k + sep + "b" + sep]
+        for text in texts:
+            assert list(iter_lines(text)) == text.splitlines(), repr(text)
+
+    def test_seeded_random_text(self):
+        rng = SplitMix64(11)
+        alphabet = ("a", " ", "#", *LINE_BREAKS)
+        for _ in range(20000):
+            text = "".join(alphabet[rng.next_below(len(alphabet))]
+                           for _ in range(rng.next_below(12)))
+            assert list(iter_lines(text)) == text.splitlines(), repr(text)
+        for _ in range(40):  # long enough to be cut several times
+            text = "".join(alphabet[rng.next_below(len(alphabet))] * rng.next_below(9)
+                           for _ in range(3000))
+            assert list(iter_lines(text)) == text.splitlines()
+
+
 class TestEdgeList:
     def test_round_trip(self):
         rng = SplitMix64(7)
@@ -172,6 +202,17 @@ class TestEdgeList:
         assert parse_edge_list("64 0\n").order == 64
         with pytest.raises(EdgeListError, match="line 2: edge lists are capped at order 64"):
             parse_edge_list("# huge\n1000000 0\n")
+
+    def test_refused_header_reads_no_further(self):
+        text = "65 1\n" + "0 1\n" * 10**6
+        tracemalloc.start()
+        try:
+            with pytest.raises(EdgeListError, match="line 1: edge lists are capped"):
+                parse_edge_list(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_self_loop(self):
         with pytest.raises(EdgeListError, match="line 2: self-loop"):

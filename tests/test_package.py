@@ -13,6 +13,7 @@ import pytest
 import rainbowroman
 
 SRC = str(Path(rainbowroman.__file__).resolve().parents[1])
+C4 = str(Path(__file__).parent / "fixtures" / "c4.el")
 
 # the public API; loading submodules lazily must neither add nor drop a name
 PUBLIC = [
@@ -44,7 +45,8 @@ HOMES = {
                    "VerificationError", "all_min_2rdf", "format_rainbow",
                    "format_roman", "gamma_r2", "gamma_roman",
                    "is_2rainbow_dominating", "is_roman_dominating",
-                   "parse_rainbow", "parse_roman"),
+                   "parse_rainbow", "parse_roman", "rainbow_to_roman",
+                   "roman_to_rainbow", "swap_colors"),
     "graph": ("EdgeListError", "Graph", "canonical_form", "complete_graph",
               "components", "connected", "cycle_graph", "diamond_graph",
               "disjoint_union", "empty_graph", "graph_from_edges",
@@ -61,11 +63,9 @@ HOMES = {
     "rng": ("SplitMix64",),
     "structure": ("StructureAudit", "audit_extremal", "audit_function",
                   "audit_summary", "is_extremal"),
-    "transfer": ("rainbow_to_roman", "roman_to_rainbow", "swap_colors"),
 }
 # modules that only some commands need
-DEFERRED = ("catalog", "constructions", "hereditary", "reduction", "structure",
-            "transfer")
+DEFERRED = ("catalog", "constructions", "hereditary", "reduction", "structure")
 
 
 def python(*argv, cwd=None):
@@ -102,22 +102,46 @@ class TestPublicApi:
             rainbowroman.no_such_name  # noqa: B018
         assert not hasattr(rainbowroman, "_all_min_at")
 
+    def test_conversions_have_no_module_of_their_own(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("rainbowroman.transfer")
+
+
+def run_reporting_deferred(argv):
+    """Run the CLI on ``argv`` in a fresh process; its stdout, then one
+    line per deferred module telling whether it was executed, then the
+    exit code."""
+    script = ("import sys, types\n"
+              "import rainbowroman.cli\n"
+              f"code = rainbowroman.cli.main({argv!r})\n"
+              f"for m in {DEFERRED!r}:\n"
+              "    module = sys.modules['rainbowroman.' + m]\n"
+              "    print(m, type(module) is types.ModuleType)\n"
+              "print('exit', code)\n")
+    proc = python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
 
 class TestLazyLoading:
     def test_solve_leaves_other_modules_unexecuted(self, tmp_path):
         graph = tmp_path / "k1.el"
         graph.write_text("1 0\n")
-        script = ("import sys, types\n"
-                  "import rainbowroman.cli\n"
-                  f"code = rainbowroman.cli.main(['solve', {str(graph)!r}])\n"
-                  f"for m in {DEFERRED!r}:\n"
-                  "    module = sys.modules['rainbowroman.' + m]\n"
-                  "    print(m, type(module) is types.ModuleType)\n"
-                  "print('exit', code)\n")
-        proc = python("-c", script)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == [
+        assert run_reporting_deferred(["solve", str(graph)]) == [
             '{"gamma_r2":1,"gamma_R":1}',
+            *(f"{m} False" for m in DEFERRED),
+            "exit 0",
+        ]
+
+    @pytest.mark.parametrize("assignment, direction, converted", [
+        ("2,0,1,0", "roman-to-r2", "12,.,1,."),
+        ("12,.,2,.", "r2-to-roman", "2,0,1,0"),
+    ])
+    def test_convert_leaves_other_modules_unexecuted(self, assignment,
+                                                     direction, converted):
+        argv = ["convert", C4, assignment, "--direction", direction]
+        assert run_reporting_deferred(argv) == [
+            f'{{"assignment":"{converted}","weight":3}}',
             *(f"{m} False" for m in DEFERRED),
             "exit 0",
         ]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -91,6 +92,17 @@ class TestDimacs:
         # the bad clause after the header is never reached
         with pytest.raises(DimacsError, match="line 2: header needs n >= 1 and m >= 0"):
             parse_dimacs(f"c comment\n{header}\nnot a clause\n")
+
+    def test_surplus_clause_refused_without_reading_on(self):
+        text = "p cnf 1 2\n" + "1 0\n" * (10**6 + 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimacsError, match="line 4: header announces 2"):
+                parse_dimacs(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_largest_gadget_passes(self):
         f = parse_dimacs("p cnf 14 5\n1 0\n2 0\n3 0\n4 0\n5 0\n")

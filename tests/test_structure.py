@@ -6,7 +6,8 @@ import pytest
 
 from rainbowroman import structure
 from rainbowroman.catalog import enumerate_graphs
-from rainbowroman.domination import RainbowAssignment, all_min_2rdf
+from rainbowroman.domination import (RainbowAssignment, all_min_2rdf,
+                                     swap_colors)
 from rainbowroman.graph import (complete_graph, cycle_graph, disjoint_union,
                                 from_edge_mask, path_graph, star_graph)
 from rainbowroman.hereditary import solve_both_cached
@@ -14,7 +15,6 @@ from rainbowroman.rng import SplitMix64
 from rainbowroman.structure import (PROPERTY_KEYS, audit_extremal,
                                     audit_function, audit_summary,
                                     is_extremal)
-from rainbowroman.transfer import swap_colors
 
 from oracles import audit_summary_by_listing
 

@@ -9,11 +9,10 @@ import pytest
 from rainbowroman.domination import (RainbowAssignment, RomanAssignment,
                                      gamma_r2, gamma_roman,
                                      is_2rainbow_dominating,
-                                     is_roman_dominating)
+                                     is_roman_dominating, rainbow_to_roman,
+                                     roman_to_rainbow, swap_colors)
 from rainbowroman.graph import cycle_graph, from_edge_mask, graph_from_edges
 from rainbowroman.rng import SplitMix64
-from rainbowroman.transfer import (rainbow_to_roman, roman_to_rainbow,
-                                   swap_colors)
 
 
 def all_labeled(n):
